@@ -5,18 +5,15 @@ from .analysis import (
     TwoVarProfile,
     coincides,
     is_almost_centered,
-    is_almost_centered_noncrossing,
     is_symmetric,
     is_unimodal,
     reflecting_degree,
-    symmetric_product_check,
     two_var_profile,
 )
 from .classify import (
     ClassificationVerdict,
     CsmDecomposition,
     CsmPiece,
-    HypothesisViolation,
     all_maci_grid,
     classify_maci,
     classify_support_two,
@@ -43,6 +40,7 @@ from .core import (
     standard_monomials,
 )
 from .oracle import (
+    HypothesisViolation,
     LefschetzReport,
     MapRecord,
     lefschetz_report,

@@ -89,34 +89,6 @@ def is_almost_centered(hs) -> bool:
     )
 
 
-def is_almost_centered_noncrossing(hs) -> bool:
-    """Equivalent no-crossing form of the same predicate.
-
-    Once two coefficients compare strictly (h_i < h_j or h_i > h_j for some
-    i < j), every widened pair h_{i-s}, h_{j+s} must compare the same way.
-    Scanning each center i + j from narrow to wide pairs, the nonzero
-    comparison signs must therefore all agree.
-    """
-    if hs.is_zero():
-        raise ValueError("almost-centeredness is undefined for the zero series")
-    if hs.offset != 0:
-        raise ValueError("almost-centeredness requires a series starting in degree 0")
-    top = hs.socle_degree
-    for center in range(2 * top + 1):
-        first_sign = 0
-        lo = min(-1, center - top - 1)
-        for i in range((center - 1) // 2, lo - 1, -1):
-            left, right = hs[i], hs[center - i]
-            sign = (left < right) - (left > right)
-            if sign == 0:
-                continue
-            if first_sign == 0:
-                first_sign = sign
-            elif sign != first_sign:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class TwoVarProfile:
     """Shape data of HS(k[x,y]/(x^a, y^b, x^alpha y^beta)), normalized."""
@@ -195,14 +167,3 @@ def two_var_profile(a, b, alpha, beta) -> TwoVarProfile:
         almost_centered=not not_centered,
         shape_case=shape,
     )
-
-
-def symmetric_product_check(p, q):
-    """(p symmetric, q symmetric, p*q symmetric) for nonzero series.
-
-    Exposed for the property suite: whenever two of the three are
-    palindromes, so is the third.
-    """
-    if p.is_zero() or q.is_zero():
-        raise ValueError("factors must be nonzero")
-    return (is_symmetric(p), is_symmetric(q), is_symmetric(p * q))

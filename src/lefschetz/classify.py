@@ -19,7 +19,7 @@ from itertools import combinations, permutations, product
 
 from .analysis import coincides, is_symmetric, reflecting_degree, two_var_profile
 from .core import Monomial, MonomialIdeal, pure_power
-from .oracle import lefschetz_report
+from .oracle import HypothesisViolation, lefschetz_report
 from .series import HilbertSeries, MaciSpec, hilbert_series, maci_from_ideal
 
 RULE_N_EQ_2 = "n_eq_2"
@@ -28,14 +28,6 @@ RULE_ALMOST_CENTERED = "almost_centered"
 RULE_EXPLICIT_CONDITIONS = "explicit_conditions"
 RULE_SYMMETRIC_HS = "symmetric_hs"
 RULE_NOT_APPLICABLE = "not_applicable"
-
-
-class HypothesisViolation(RuntimeError):
-    """A runtime proof obligation failed.
-
-    Either the implementation is wrong or the input is a genuine
-    counterexample; both must be surfaced, never suppressed.
-    """
 
 
 @dataclass(frozen=True)

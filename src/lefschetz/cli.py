@@ -21,14 +21,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .analysis import is_almost_centered, is_symmetric
-from .classify import (
-    HypothesisViolation,
-    classify_maci,
-    csm_decomposition,
-    grid_from_json,
-)
-from .core import parse_ideal
-from .oracle import lefschetz_report, multiplication_matrix
+from .classify import classify_maci, csm_decomposition, grid_from_json
+from .core import parse_ideal, render_monomial
+from .oracle import HypothesisViolation, lefschetz_report, multiplication_matrix
 from .series import MaciSpec, hilbert_series, maci_from_ideal
 
 
@@ -243,10 +238,7 @@ def cmd_csm(args):
     payload["series_identity"] = True
     lines = [f"linear form: x{dec.variable + 1}"]
     for k, piece in enumerate(dec.pieces, start=1):
-        gens = ", ".join(
-            "*".join(f"x{i+1}^{e}" if e > 1 else f"x{i+1}" for i, e in enumerate(g) if e)
-            for g in piece.ideal.sorted_generators()
-        )
+        gens = ", ".join(render_monomial(g) for g in piece.ideal.sorted_generators())
         lines.append(
             f"piece {k}: ({gens}) in {piece.ideal.n} variables, "
             f"shift {piece.shift}, multiplier {piece.multiplier}"

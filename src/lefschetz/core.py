@@ -13,6 +13,7 @@ from itertools import product
 
 MAX_EXPONENT = 2**63 - 1  # exponents stay machine-width; coefficients do not
 MAX_VAR_INDEX = 10_000
+DIGITS = "0123456789"  # str.isdigit also admits non-ASCII digits
 
 
 class Monomial(tuple):
@@ -170,6 +171,7 @@ def parse_ideal(text, n=None) -> MonomialIdeal:
         gen    := factor ("*" factor)*
         factor := var ("^" uint)?
         var    := "x" uint        (1-based index)
+        uint   := [0-9]+          (ASCII digits only)
 
     Whitespace is insignificant.  The variable count is ``n`` when given,
     otherwise the highest index that occurs.
@@ -184,10 +186,10 @@ def parse_ideal(text, n=None) -> MonomialIdeal:
         return p
 
     def read_uint(p, what):
-        if p >= length or not text[p].isdigit():
+        if p >= length or text[p] not in DIGITS:
             raise IdealSyntaxError(f"expected {what}", p)
         q = p
-        while q < length and text[q].isdigit():
+        while q < length and text[q] in DIGITS:
             q += 1
         return int(text[p:q]), q
 

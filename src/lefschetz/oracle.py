@@ -6,15 +6,20 @@ coefficients nonzero into this one while permuting nothing, so the ranks of
 the maps  l^t : A_i -> A_{i+t}  do not depend on the (nonzero) coefficients.
 A randomized-coefficients mode is still provided as an empirical spot check.
 
-Ranks are certified exactly and floating point is never used.  A fast
-elimination modulo a word-size prime can only underestimate the rank over Q,
-so whenever it reports min(dim) the map is proven to have full rank; every
-remaining cell is recomputed by fraction-free integer elimination.
+Every matrix entry is read from one exact table: the coefficient of x^d in
+l^|d|, for every exponent difference d that two standard monomials can
+have (see ``_power_table``).  Reducing that table modulo a word-size prime
+once per report gives every cell's residues; elimination modulo the prime
+can only underestimate the rank over Q, so whenever it reports min(dim) the
+map is proven to have full rank.  Every remaining cell is recomputed from
+the table's exact entries by fraction-free integer elimination.  Floating
+point is never used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -29,11 +34,53 @@ REASON_BIJECTIVE = "bijective"
 REASON_NEITHER = "neither"
 
 
-def _factorials(n):
-    out = [1] * (n + 1)
-    for k in range(1, n + 1):
-        out[k] = out[k - 1] * k
-    return out
+class HypothesisViolation(RuntimeError):
+    """A runtime proof obligation failed.
+
+    Either the implementation is wrong or the input is a genuine
+    counterexample; both must be surfaced, never suppressed.
+    """
+
+
+def _power_table(ideal, coefficients=None):
+    """Keys of the standard monomials and the table of coefficients of powers of l.
+
+    Entry (u, v) of the matrix of l^t is the coefficient of x^(u - v) in
+    l^|u - v|, so it depends only on d = u - v, and d_j lies in
+    [-(a_j - 1), a_j - 1] where x_j^(a_j) is the pure power of the ideal.
+    The table covers that whole box, flattened in C order: it holds
+    |d|! * prod(c_j^(d_j)) / prod(d_j!) as a Python int where d >= 0 and 0
+    elsewhere.  Each degree-i standard monomial u gets the mixed-radix key
+    sum(u_j * w_j) with the strides w_j of the box, so the entry for (u, v)
+    sits at ``center + key(u) - key(v)``.
+
+    Returns (keys by degree as int64 arrays, flat object table, center).
+    """
+    n = ideal.n
+    if coefficients is None:
+        coefficients = (1,) * n
+    elif len(coefficients) != n:
+        raise ValueError("need one linear form coefficient per variable")
+    basis = standard_monomial_table(ideal)
+    if not basis:  # the unit ideal: no monomials and no entries
+        return (), np.zeros(0, dtype=object), 0
+    bounds = [ideal.pure_power_bound(j) for j in range(n)]
+    fact = [factorial(k) for k in range(sum(bounds) - n + 1)]
+    degree = np.zeros((), dtype=np.int64)
+    denom = np.ones((), dtype=object)
+    powers = np.ones((), dtype=object)
+    for a, c in zip(bounds, coefficients):
+        degree = np.add.outer(degree, np.arange(a))
+        denom = np.multiply.outer(denom, np.array(fact[:a], dtype=object))
+        powers = np.multiply.outer(powers, np.array([c**d for d in range(a)], dtype=object))
+    table = np.zeros([2 * a - 1 for a in bounds], dtype=object)
+    table[tuple(slice(a - 1, None) for a in bounds)] = (
+        np.array(fact, dtype=object)[degree] // denom * powers
+    )
+    strides = np.array(table.strides, dtype=np.int64) // table.itemsize
+    center = int(strides @ (np.array(bounds, dtype=np.int64) - 1))
+    keys = [np.array(bucket, dtype=np.int64).reshape(-1, n) @ strides for bucket in basis]
+    return keys, table.ravel(), center
 
 
 def multiplication_matrix(ideal, i, t, coefficients=None):
@@ -52,31 +99,11 @@ def multiplication_matrix(ideal, i, t, coefficients=None):
         raise ValueError("the power t must be >= 1")
     if i < 0:
         raise ValueError("the source degree must be >= 0")
-    if coefficients is not None and len(coefficients) != ideal.n:
-        raise ValueError("need one linear form coefficient per variable")
-    table = standard_monomial_table(ideal)
-    src = table[i] if i < len(table) else ()
-    tgt = table[i + t] if i + t < len(table) else ()
-    fact = _factorials(t)
-    rows = []
-    for u in tgt:
-        row = []
-        for v in src:
-            diff = [ue - ve for ue, ve in zip(u, v)]
-            if any(d < 0 for d in diff):
-                row.append(0)
-                continue
-            val = fact[t]
-            for d in diff:
-                if d > 1:
-                    val //= fact[d]
-            if coefficients is not None:
-                for c, d in zip(coefficients, diff):
-                    if d:
-                        val *= c**d
-            row.append(val)
-        rows.append(row)
-    return rows
+    keys, table, center = _power_table(ideal, coefficients)
+    empty = np.zeros(0, dtype=np.int64)
+    src = keys[i] if i < len(keys) else empty
+    tgt = keys[i + t] if i + t < len(keys) else empty
+    return table[center + tgt[:, None] - src].tolist()
 
 
 def matrix_rank(matrix) -> int:
@@ -211,63 +238,37 @@ def _reason_for(rank, dim_src, dim_tgt):
     return REASON_NEITHER
 
 
-def _cell_matrix_int64(src, tgt, t, fact):
-    """Vectorized exact build; valid only under the int64 bound checked by caller."""
-    diff = tgt[:, None, :] - src[None, :, :]
-    valid = (diff >= 0).all(axis=2)
-    safe = np.where(valid[:, :, None], diff, 0)
-    denom = fact[safe].prod(axis=2)
-    return np.where(valid, fact[t] // denom, 0)
-
-
 def lefschetz_report(ideal, coefficients=None) -> LefschetzReport:
     """Exact rank record of every map l^t : A_i -> A_{i+t}, i + t <= socle.
 
     Beyond the socle degree every target space is zero and full rank is
     automatic, so those cells are not enumerated.
     """
+    keys, table, center = _power_table(ideal, coefficients)
     series = hilbert_series(ideal)
     if series.is_zero():
         return LefschetzReport(ideal, series, [], True, True, [])
     socle = series.socle_degree
-    table = standard_monomial_table(ideal)
-    n = ideal.n
-
-    # multinomial entries are bounded by n^t <= n^socle and factorials by
-    # socle!; under these bounds the vectorized int64 build is exact
-    fast = coefficients is None and socle <= 20 and n**socle < 2**62
-    if fast:
-        fact64 = np.array(_factorials(socle), dtype=np.int64)
-        bases = [
-            np.array([list(m) for m in bucket], dtype=np.int64).reshape(len(bucket), n)
-            for bucket in table
-        ]
+    residues = (table % _PRIME).astype(np.int64)
 
     maps = []
     witnesses = []
     for t in range(1, socle + 1):
         for i in range(0, socle - t + 1):
-            dim_src = len(table[i])
-            dim_tgt = len(table[i + t])
+            dim_src = len(keys[i])
+            dim_tgt = len(keys[i + t])
             small = min(dim_src, dim_tgt)
             if small == 0:
                 rank = 0
-            elif fast:
-                cell = _cell_matrix_int64(bases[i], bases[i + t], t, fact64)
-                rank = _rank_mod_prime(cell)
-                if rank < small:
-                    exact = matrix_rank(cell.tolist())
-                    assert exact >= rank  # modular rank never overshoots
-                    rank = exact
             else:
-                cell = multiplication_matrix(ideal, i, t, coefficients)
-                reduced = np.array(
-                    [[x % _PRIME for x in row] for row in cell], dtype=np.int64
-                )
-                rank = _rank_mod_prime(reduced)
+                cell = center + keys[i + t][:, None] - keys[i]
+                rank = _rank_mod_prime(residues[cell])
                 if rank < small:
-                    exact = matrix_rank(cell)
-                    assert exact >= rank
+                    exact = matrix_rank(table[cell].tolist())
+                    if exact < rank:
+                        raise HypothesisViolation(
+                            f"exact rank {exact} of l^{t} on degree {i} is below its rank mod p, {rank}"
+                        )
                     rank = exact
             full = rank == small
             maps.append(

@@ -262,8 +262,14 @@ class MaciSpec:
 
     @classmethod
     def from_dict(cls, data):
+        """Strict inverse of as_dict: "a" and "m" are lists of plain ints."""
+        for key in ("a", "m"):
+            if key not in data:
+                raise ValueError(f'the spec needs an "{key}" list')
+            if not isinstance(data[key], list) or any(type(x) is not int for x in data[key]):
+                raise ValueError(f'"{key}" must be a list of integers')
         spec = cls(data["a"], data["m"])
-        if "n" in data and int(data["n"]) != spec.n:
+        if "n" in data and (type(data["n"]) is not int or data["n"] != spec.n):
             raise ValueError("declared n does not match the exponent vectors")
         return spec
 

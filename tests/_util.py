@@ -1,8 +1,16 @@
 """Shared helpers for the test suite: random generators and small oracles."""
 
 import random
+from math import factorial
 
-from lefschetz import HilbertSeries, MaciSpec, Monomial, MonomialIdeal
+from lefschetz import (
+    HilbertSeries,
+    MaciSpec,
+    Monomial,
+    MonomialIdeal,
+    is_symmetric,
+    standard_monomial_table,
+)
 
 
 def rand_monomial(rng, n, max_exp):
@@ -56,3 +64,71 @@ def two_var_series_by_enumeration(a, b, alpha, beta):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def multiplication_matrix_by_entries(ideal, i, t, coefficients=None):
+    """Reference build of the matrix of l^t : A_i -> A_{i+t}, one entry at a time.
+
+    The (u, v) entry is t! / prod((u_j - v_j)!) * prod(c_j^(u_j - v_j)) when
+    u - v is componentwise nonnegative, else 0; rows and columns follow the
+    graded lex order of standard_monomial_table.
+    """
+    table = standard_monomial_table(ideal)
+    src = table[i] if i < len(table) else ()
+    tgt = table[i + t] if i + t < len(table) else ()
+    rows = []
+    for u in tgt:
+        row = []
+        for v in src:
+            diff = [ue - ve for ue, ve in zip(u, v)]
+            if any(d < 0 for d in diff):
+                row.append(0)
+                continue
+            val = factorial(t)
+            for d in diff:
+                val //= factorial(d)
+            if coefficients is not None:
+                for c, d in zip(coefficients, diff):
+                    val *= c**d
+            row.append(val)
+        rows.append(row)
+    return rows
+
+
+def is_almost_centered_noncrossing(hs) -> bool:
+    """Equivalent no-crossing form of lefschetz.is_almost_centered.
+
+    Once two coefficients compare strictly (h_i < h_j or h_i > h_j for some
+    i < j), every widened pair h_{i-s}, h_{j+s} must compare the same way.
+    Scanning each center i + j from narrow to wide pairs, the nonzero
+    comparison signs must therefore all agree.
+    """
+    if hs.is_zero():
+        raise ValueError("almost-centeredness is undefined for the zero series")
+    if hs.offset != 0:
+        raise ValueError("almost-centeredness requires a series starting in degree 0")
+    top = hs.socle_degree
+    for center in range(2 * top + 1):
+        first_sign = 0
+        lo = min(-1, center - top - 1)
+        for i in range((center - 1) // 2, lo - 1, -1):
+            left, right = hs[i], hs[center - i]
+            sign = (left < right) - (left > right)
+            if sign == 0:
+                continue
+            if first_sign == 0:
+                first_sign = sign
+            elif sign != first_sign:
+                return False
+    return True
+
+
+def symmetric_product_check(p, q):
+    """(p symmetric, q symmetric, p*q symmetric) for nonzero series.
+
+    For the property suite: whenever two of the three are palindromes, so
+    is the third.
+    """
+    if p.is_zero() or q.is_zero():
+        raise ValueError("factors must be nonzero")
+    return (is_symmetric(p), is_symmetric(q), is_symmetric(p * q))

@@ -29,7 +29,6 @@ from lefschetz import (
     slp_symmetric,
     support_two_grid,
     symmetric_grid,
-    symmetric_product_check,
     tensor_map_full_rank,
     two_var_profile,
 )
@@ -40,6 +39,7 @@ from _util import (
     rand_monomial,
     rand_series,
     seeded,
+    symmetric_product_check,
     two_var_series_by_enumeration,
 )
 

@@ -8,15 +8,19 @@ from lefschetz import (
     coincides,
     hilbert_series,
     is_almost_centered,
-    is_almost_centered_noncrossing,
     is_symmetric,
     is_unimodal,
     parse_ideal,
     reflecting_degree,
-    symmetric_product_check,
     two_var_profile,
 )
-from _util import rand_series, seeded, two_var_series_by_enumeration
+from _util import (
+    is_almost_centered_noncrossing,
+    rand_series,
+    seeded,
+    symmetric_product_check,
+    two_var_series_by_enumeration,
+)
 
 GOLDEN = HilbertSeries([1, 4, 9, 15, 19, 19, 15, 9, 4, 1])
 TOGLIATTI = HilbertSeries([1, 3, 6, 6, 3])

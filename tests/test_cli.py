@@ -91,6 +91,33 @@ def test_check_matrix_dump(capsys):
     assert len(rows) == 6
 
 
+def test_check_matrix_dump_of_unit_quotient(capsys):
+    code, out, err = run(capsys, "check", "--matrix", "0", "1", "x1^0, x2^3")
+    assert code == 0
+    assert out == "" and err == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a": [2.9, 3, 4], "m": [1, 1, 1]}',
+        '{"a": [2, 3, 4], "m": [1, true, 1]}',
+        '{"a": [2, 3, 4], "m": ["1", 1, 1]}',
+        '{"a": "234", "m": [1, 1, 1]}',
+        '{"n": 3.0, "a": [2, 3, 4], "m": [1, 1, 1]}',
+        '{"a": [2, 3, 4]}',
+        '{"m": [1, 1, 1]}',
+        "x1^\uff102, x2^2, x1*x2",
+        "x\u0661^2, x2^2, x1*x2",
+    ],
+)
+def test_strict_input_boundary(capsys, text):
+    code, out, err = run(capsys, "hilbert", text)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_check_random_form(capsys):
     code, out, _ = run(capsys, "--random-form", "7", "check", TOGLIATTI)
     assert code == 0

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import lefschetz.oracle
 from lefschetz import (
     HilbertSeries,
+    HypothesisViolation,
     MaciSpec,
     Monomial,
     MonomialIdeal,
@@ -13,11 +15,12 @@ from lefschetz import (
     matrix_rank,
     multiplication_matrix,
     parse_ideal,
+    standard_monomial_table,
     standard_monomials,
     tensor_map_full_rank,
 )
 from lefschetz.oracle import _rank_mod_prime
-from _util import rand_artinian_ideal, rand_maci, seeded
+from _util import multiplication_matrix_by_entries, rand_artinian_ideal, rand_maci, seeded
 
 TOGLIATTI = parse_ideal("x1^3, x2^3, x3^3, x1*x2*x3")
 
@@ -153,18 +156,46 @@ def test_report_reason_bookkeeping():
             assert not rec.full_rank
 
 
-def test_report_matches_python_build_path():
-    # coefficients (1, ..., 1) force the generic build; the default path uses
-    # the vectorized construction, so this pins the two against each other
+def test_matrix_matches_reference_builder():
+    # every (i, t) cell, including cells past the socle, from the power table
+    # against the entry-by-entry build, on MACIs and on other Artinian ideals
     rng = seeded(109)
-    for _ in range(10):
-        spec = rand_maci(rng, rng.randint(2, 3), 4)
-        ideal = spec.ideal()
-        fast = lefschetz_report(ideal)
-        slow = lefschetz_report(ideal, coefficients=(1,) * ideal.n)
-        assert [(r.i, r.t, r.rank) for r in fast.maps] == [
-            (r.i, r.t, r.rank) for r in slow.maps
-        ]
+    ideals = [TOGLIATTI, parse_ideal("x1^4, x2^3, x3^2, x1^2*x2, x2*x3, x1*x3")]
+    ideals += [rand_maci(rng, rng.randint(2, 4), 4).ideal() for _ in range(8)]
+    ideals += [rand_artinian_ideal(rng, rng.randint(1, 4), max_bound=4, extra=3) for _ in range(8)]
+    for ideal in ideals:
+        top = len(standard_monomial_table(ideal))
+        forms = [None, ([0, -2, 2**40, 5] * 2)[: ideal.n], ([2**40, -1, 3, 0] * 2)[: ideal.n]]
+        for coeffs in forms:
+            for t in range(1, top + 2):
+                for i in range(top + 1):
+                    assert multiplication_matrix(ideal, i, t, coeffs) == (
+                        multiplication_matrix_by_entries(ideal, i, t, coeffs)
+                    ), (ideal, i, t, coeffs)
+
+
+def test_report_rejects_wrong_length_coefficients():
+    with pytest.raises(ValueError):
+        lefschetz_report(TOGLIATTI, coefficients=[1, 2])
+    with pytest.raises(ValueError):
+        lefschetz_report(TOGLIATTI, coefficients=[1, 2, 3, 4])
+
+
+def test_report_raises_when_exact_rank_undershoots(monkeypatch):
+    # the exact rank can never fall below the rank mod p; if it does, the
+    # report must refuse even when assertions are compiled out
+    monkeypatch.setattr(lefschetz.oracle, "matrix_rank", lambda matrix: 0)
+    with pytest.raises(HypothesisViolation):
+        lefschetz_report(TOGLIATTI)
+
+
+def test_report_socle_21_symmetric_spec_has_slp():
+    # symmetric Hilbert series, so strong Lefschetz; socle degree above 20
+    spec = MaciSpec((6, 7, 8, 9), (1, 1, 1, 1))
+    assert spec.socle_degree() == 21
+    report = lefschetz_report(spec.ideal())
+    assert report.slp and report.wlp
+    assert len(report.maps) == 21 * 22 // 2
 
 
 def test_report_invariant_under_variable_permutation():
