@@ -390,24 +390,49 @@ def all_maci_grid(n_values, max_exp):
                     yield MaciSpec(a, m)
 
 
+_GRID_KEYS = {
+    "support_two": ("n", "max_exp", "extra_exp"),
+    "symmetric": ("n", "max_socle", "max_exp"),
+    "all_maci": ("n", "max_exp"),
+}
+_GRID_MINIMUM = {"max_exp": 2, "max_socle": 1, "extra_exp": 1}
+
+
 def grid_from_json(obj):
     """Materialize a grid description like
     {"n": [2, 4], "max_exp": 6, "family": "support_two"}.
 
-    Optional keys: "extra_exp" pins non-support exponents (support_two),
-    "max_socle" bounds the socle degree (symmetric).
+    "n" is one variable count >= 2 or a range [lo, hi] with 2 <= lo <= hi
+    (default [2, 4]).  Optional keys: "extra_exp" pins non-support exponents
+    (support_two), "max_socle" bounds the socle degree (symmetric).  Values
+    must be plain integers; an unknown key, family or value is a ValueError.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("a grid must be a JSON object")
     family = obj.get("family")
+    if not isinstance(family, str) or family not in _GRID_KEYS:
+        raise ValueError(f"unknown grid family: {family!r}")
+    unknown = sorted(set(obj) - {"family", *_GRID_KEYS[family]})
+    if unknown:
+        raise ValueError(f"unknown keys for a {family} grid: {', '.join(unknown)}")
+    for key, least in _GRID_MINIMUM.items():
+        value = obj.get(key, least)
+        if type(value) is not int or value < least:
+            raise ValueError(f"grid key {key!r} must be an integer >= {least}, got {value!r}")
     n_spec = obj.get("n", [2, 4])
-    if isinstance(n_spec, int):
-        ns = range(n_spec, n_spec + 1)
-    else:
-        lo, hi = n_spec
-        ns = range(lo, hi + 1)
+    lo_hi = [n_spec, n_spec] if type(n_spec) is int else n_spec
+    if not (
+        isinstance(lo_hi, list)
+        and len(lo_hi) == 2
+        and all(type(v) is int for v in lo_hi)
+        and 2 <= lo_hi[0] <= lo_hi[1]
+    ):
+        raise ValueError(
+            f"grid key 'n' must be an integer >= 2 or [lo, hi] with 2 <= lo <= hi, got {n_spec!r}"
+        )
+    ns = range(lo_hi[0], lo_hi[1] + 1)
     if family == "support_two":
         return support_two_grid(ns, obj.get("max_exp", 6), obj.get("extra_exp"))
     if family == "symmetric":
         return symmetric_grid(ns, obj.get("max_socle", 14), obj.get("max_exp"))
-    if family == "all_maci":
-        return list(all_maci_grid(ns, obj.get("max_exp", 4)))
-    raise ValueError(f"unknown grid family: {family!r}")
+    return list(all_maci_grid(ns, obj.get("max_exp", 4)))

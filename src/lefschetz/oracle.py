@@ -14,10 +14,36 @@ can only underestimate the rank over Q, so whenever it reports min(dim) the
 map is proven to have full rank.  Every remaining cell is recomputed from
 the table's exact entries by fraction-free integer elimination.  Floating
 point is never used.
+
+Most cells are never ranked, because three facts that hold for every
+standard graded Artinian algebra and every linear form imply their full
+rank from cells already proven (Migliore, Miro-Roig and Nagel, Trans. AMS
+2011, section 2):
+
+* if l^t is injective on A_i, so is l^s for every s < t, since
+  ker l^s is contained in ker l^t;
+* if l^t : A_j -> A_{j+t} is surjective, so is l^s : A_{j+t-s} -> A_{j+t}
+  for every s <= t;
+* if l^t : A_i -> A_{i+t} is surjective, so is l^t : A_{i+1} -> A_{i+1+t},
+  because A is generated in degree 1.
+
+``lefschetz_report`` therefore visits t from the socle degree down to 1,
+keeping the sources proven injective and the least i + t of a cell proven
+surjective.  A cell that must be injective (dim A_i <= dim A_{i+t}) is
+implied when its source is proven injective; one that must be surjective
+is implied when its i + t is at least that least value.  Only the other
+cells are ranked.  For a symmetric Hilbert function of socle degree D this
+ranks the central maps l^(D-2i) : A_i -> A_(D-i) first, and when they are
+bijective, the strong Lefschetz property in the narrow sense of Harima et
+al., *The Lefschetz Properties* (LNM 2080), nothing else.  A rank-deficient
+cell is never implied, so every exact fallback still runs.  Each
+``MapRecord`` names its ``certificate``: "mod_p", "exact", "implied" (with
+the proven cell in ``implied_by``) or "empty" for a zero space.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import factorial
 
@@ -32,6 +58,11 @@ REASON_INJECTIVE = "injective"
 REASON_SURJECTIVE = "surjective"
 REASON_BIJECTIVE = "bijective"
 REASON_NEITHER = "neither"
+
+CERT_MOD_P = "mod_p"  # full rank shown by elimination modulo the prime
+CERT_EXACT = "exact"  # rank from fraction-free elimination over Z
+CERT_IMPLIED = "implied"  # full rank follows from another proven cell
+CERT_EMPTY = "empty"  # source or target is the zero space
 
 
 class HypothesisViolation(RuntimeError):
@@ -61,6 +92,8 @@ def _power_table(ideal, coefficients=None):
         coefficients = (1,) * n
     elif len(coefficients) != n:
         raise ValueError("need one linear form coefficient per variable")
+    # Python ints, so that c**d cannot wrap as a numpy fixed-width integer would
+    coefficients = [operator.index(c) for c in coefficients]
     basis = standard_monomial_table(ideal)
     if not basis:  # the unit ideal: no monomials and no entries
         return (), np.zeros(0, dtype=object), 0
@@ -179,6 +212,8 @@ class MapRecord:
     rank: int
     full_rank: bool
     reason: str
+    certificate: str  # one of CERT_MOD_P, CERT_EXACT, CERT_IMPLIED, CERT_EMPTY
+    implied_by: object = None  # (i, t) of the proven cell implying this one
 
     def as_dict(self):
         return {
@@ -189,6 +224,8 @@ class MapRecord:
             "rank": self.rank,
             "full_rank": self.full_rank,
             "reason": self.reason,
+            "certificate": self.certificate,
+            "implied_by": None if self.implied_by is None else list(self.implied_by),
         }
 
 
@@ -242,7 +279,10 @@ def lefschetz_report(ideal, coefficients=None) -> LefschetzReport:
     """Exact rank record of every map l^t : A_i -> A_{i+t}, i + t <= socle.
 
     Beyond the socle degree every target space is zero and full rank is
-    automatic, so those cells are not enumerated.
+    automatic, so those cells are not enumerated.  Cells are visited from
+    t = socle down to 1, and a cell whose full rank follows from cells
+    already proven (see the module docstring) is recorded without being
+    ranked; records are returned in (t, i) order all the same.
     """
     keys, table, center = _power_table(ideal, coefficients)
     series = hilbert_series(ideal)
@@ -251,31 +291,42 @@ def lefschetz_report(ideal, coefficients=None) -> LefschetzReport:
     socle = series.socle_degree
     residues = (table % _PRIME).astype(np.int64)
 
+    injective = {}  # source degree -> a proven cell (i, t) injective on it
+    surjective = (socle + 1, None)  # least i + t of a proven surjective cell, and that cell
     maps = []
-    witnesses = []
-    for t in range(1, socle + 1):
+    for t in range(socle, 0, -1):
         for i in range(0, socle - t + 1):
             dim_src = len(keys[i])
             dim_tgt = len(keys[i + t])
             small = min(dim_src, dim_tgt)
+            implied_by = None
             if small == 0:
-                rank = 0
+                rank, certificate = 0, CERT_EMPTY
+            elif dim_src <= dim_tgt and i in injective:
+                rank, certificate, implied_by = small, CERT_IMPLIED, injective[i]
+            elif dim_src >= dim_tgt and i + t >= surjective[0]:
+                rank, certificate, implied_by = small, CERT_IMPLIED, surjective[1]
             else:
                 cell = center + keys[i + t][:, None] - keys[i]
-                rank = _rank_mod_prime(residues[cell])
+                rank, certificate = _rank_mod_prime(residues[cell]), CERT_MOD_P
                 if rank < small:
                     exact = matrix_rank(table[cell].tolist())
                     if exact < rank:
                         raise HypothesisViolation(
                             f"exact rank {exact} of l^{t} on degree {i} is below its rank mod p, {rank}"
                         )
-                    rank = exact
+                    rank, certificate = exact, CERT_EXACT
             full = rank == small
-            maps.append(
-                MapRecord(i, t, dim_src, dim_tgt, rank, full, _reason_for(rank, dim_src, dim_tgt))
-            )
-            if not full:
-                witnesses.append((i, t))
+            # a full-rank square cell is bijective and proves both directions
+            if full and dim_src <= dim_tgt:
+                injective.setdefault(i, (i, t))
+            if full and dim_src >= dim_tgt and i + t < surjective[0]:
+                surjective = (i + t, (i, t))
+            reason = _reason_for(rank, dim_src, dim_tgt)
+            rec = MapRecord(i, t, dim_src, dim_tgt, rank, full, reason, certificate, implied_by)
+            maps.append(rec)
+    maps.sort(key=lambda rec: (rec.t, rec.i))
+    witnesses = [(rec.i, rec.t) for rec in maps if not rec.full_rank]
     wlp = all(rec.full_rank for rec in maps if rec.t == 1)
     slp = not witnesses
     return LefschetzReport(ideal, series, maps, wlp, slp, witnesses)

@@ -3,13 +3,29 @@
 import random
 from math import factorial
 
+import numpy as np
+
 from lefschetz import (
     HilbertSeries,
+    HypothesisViolation,
+    LefschetzReport,
     MaciSpec,
+    MapRecord,
     Monomial,
     MonomialIdeal,
+    hilbert_series,
     is_symmetric,
+    matrix_rank,
     standard_monomial_table,
+)
+from lefschetz.oracle import (
+    _PRIME,
+    CERT_EMPTY,
+    CERT_EXACT,
+    CERT_MOD_P,
+    _power_table,
+    _rank_mod_prime,
+    _reason_for,
 )
 
 
@@ -93,6 +109,49 @@ def multiplication_matrix_by_entries(ideal, i, t, coefficients=None):
             row.append(val)
         rows.append(row)
     return rows
+
+
+def lefschetz_report_all_cells(ideal, coefficients=None):
+    """Reference report that ranks every cell l^t : A_i -> A_{i+t}, i + t <= socle.
+
+    Each cell is ranked mod p and, below full rank, again by Bareiss
+    elimination; nothing is implied.  Records, witnesses and verdicts come
+    in (t, i) order, like lefschetz_report.
+    """
+    keys, table, center = _power_table(ideal, coefficients)
+    series = hilbert_series(ideal)
+    if series.is_zero():
+        return LefschetzReport(ideal, series, [], True, True, [])
+    socle = series.socle_degree
+    residues = (table % _PRIME).astype(np.int64)
+
+    maps = []
+    witnesses = []
+    for t in range(1, socle + 1):
+        for i in range(0, socle - t + 1):
+            dim_src = len(keys[i])
+            dim_tgt = len(keys[i + t])
+            small = min(dim_src, dim_tgt)
+            if small == 0:
+                rank, certificate = 0, CERT_EMPTY
+            else:
+                cell = center + keys[i + t][:, None] - keys[i]
+                rank, certificate = _rank_mod_prime(residues[cell]), CERT_MOD_P
+                if rank < small:
+                    exact = matrix_rank(table[cell].tolist())
+                    if exact < rank:
+                        raise HypothesisViolation(
+                            f"exact rank {exact} of l^{t} on degree {i} is below its rank mod p, {rank}"
+                        )
+                    rank, certificate = exact, CERT_EXACT
+            full = rank == small
+            reason = _reason_for(rank, dim_src, dim_tgt)
+            maps.append(MapRecord(i, t, dim_src, dim_tgt, rank, full, reason, certificate))
+            if not full:
+                witnesses.append((i, t))
+    wlp = all(rec.full_rank for rec in maps if rec.t == 1)
+    slp = not witnesses
+    return LefschetzReport(ideal, series, maps, wlp, slp, witnesses)
 
 
 def is_almost_centered_noncrossing(hs) -> bool:

@@ -240,6 +240,17 @@ def test_grid_from_json():
     assert all(s.n == 2 for s in grid)
     with pytest.raises(ValueError):
         grid_from_json({"family": "everything"})
+    # the range, the defaults and the family keys stay as they were
+    assert len(grid_from_json({"family": "support_two", "n": [2, 3], "max_exp": 3})) == len(
+        support_two_grid([2, 3], 3)
+    )
+    assert len(grid_from_json({"family": "all_maci", "max_exp": 2})) == len(
+        list(all_maci_grid([2, 3, 4], 2))
+    )
+    grid = grid_from_json({"family": "symmetric", "n": 3, "max_socle": 5, "max_exp": 4})
+    assert len(grid) == len(symmetric_grid([3], 5, 4))
+    grid = grid_from_json({"family": "support_two", "n": 3, "max_exp": 3, "extra_exp": 2})
+    assert all(s.a[2] == 2 for s in grid)
 
 
 def test_hypothesis_violation_when_identity_is_broken(monkeypatch):

@@ -279,3 +279,28 @@ def test_unknown_grid_family_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "survey", grid, "--out", str(tmp_path / "x.csv"))
     assert code == 1
     assert "unknown grid family" in err
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"family": "support_two", "n": [3, 2], "max_exp": 3},
+        {"family": "symmetric", "n": [2, 3], "max_socle": "5"},
+        {"family": "support_two", "n": [2, 2], "max_exp": 3, "bogus": 1},
+        {"family": "symmetric", "n": [2, 3], "max_socel": 3},
+        {"n": [2, 2], "max_exp": 3},
+        {"family": "all_maci", "n": 1, "max_exp": 3},
+        {"family": "all_maci", "n": [2, True], "max_exp": 3},
+        {"family": "support_two", "n": 2, "max_exp": 3.0},
+        {"family": "support_two", "n": 2, "extra_exp": 0},
+        {"family": ["symmetric"]},
+        [{"family": "symmetric"}],
+    ],
+)
+def test_survey_rejects_bad_grid(tmp_path, capsys, grid):
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "survey", json.dumps(grid), "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_path.exists()

@@ -20,7 +20,13 @@ from lefschetz import (
     tensor_map_full_rank,
 )
 from lefschetz.oracle import _rank_mod_prime
-from _util import multiplication_matrix_by_entries, rand_artinian_ideal, rand_maci, seeded
+from _util import (
+    lefschetz_report_all_cells,
+    multiplication_matrix_by_entries,
+    rand_artinian_ideal,
+    rand_maci,
+    seeded,
+)
 
 TOGLIATTI = parse_ideal("x1^3, x2^3, x3^3, x1*x2*x3")
 
@@ -169,9 +175,88 @@ def test_matrix_matches_reference_builder():
         for coeffs in forms:
             for t in range(1, top + 2):
                 for i in range(top + 1):
-                    assert multiplication_matrix(ideal, i, t, coeffs) == (
-                        multiplication_matrix_by_entries(ideal, i, t, coeffs)
-                    ), (ideal, i, t, coeffs)
+                    want = multiplication_matrix_by_entries(ideal, i, t, coeffs)
+                    assert multiplication_matrix(ideal, i, t, coeffs) == want, (ideal, i, t, coeffs)
+                    if coeffs is not None:  # numpy integers must not wrap
+                        got = multiplication_matrix(ideal, i, t, np.array(coeffs, dtype=np.int64))
+                        assert got == want, (ideal, i, t, coeffs)
+    mat = multiplication_matrix(TOGLIATTI, 0, 2, np.array([2**40, 1, 1]))
+    assert mat == [[2**80], [2**41], [2**41], [1], [2], [1]]
+
+
+def _record_keys(report):
+    return [
+        (r.i, r.t, r.dim_src, r.dim_tgt, r.rank, r.full_rank, r.reason) for r in report.maps
+    ]
+
+
+def test_report_matches_all_cells_reference():
+    # implied records against ranking every cell, on MACIs with and without
+    # the SLP, on other Artinian ideals and on forms with zero and negative
+    # coefficients, for which the implication rules hold just the same
+    rng = seeded(137)
+    ideals = [TOGLIATTI] + [rand_maci(rng, rng.randint(2, 4), 5).ideal() for _ in range(12)]
+    ideals += [rand_artinian_ideal(rng, rng.randint(1, 4), max_bound=5, extra=3) for _ in range(12)]
+    failing = []
+    while len(failing) < 20:
+        ideal = rand_maci(rng, rng.randint(3, 4), 5).ideal()
+        if not lefschetz_report_all_cells(ideal).slp:
+            failing.append(ideal)
+    for ideal in ideals + failing:
+        forms = [None, ([0, -2, 3, 1] * 2)[: ideal.n], ([-1, 5, 0, -7] * 2)[: ideal.n]]
+        forms.append([rng.randint(-3, 3) for _ in range(ideal.n)])
+        for coeffs in forms:
+            got = lefschetz_report(ideal, coeffs)
+            want = lefschetz_report_all_cells(ideal, coeffs)
+            assert _record_keys(got) == _record_keys(want), (ideal, coeffs)
+            assert (got.witnesses, got.wlp, got.slp) == (want.witnesses, want.wlp, want.slp)
+    assert sum(1 for ideal in ideals + failing if not lefschetz_report(ideal).slp) >= 20
+
+
+def test_report_numpy_coefficients_do_not_wrap():
+    # 2^40 squared does not fit in int64; a wrapped table loses rank at (1, 3)
+    got = lefschetz_report(TOGLIATTI, np.array([2**40, 1, 1]))
+    want = lefschetz_report_all_cells(TOGLIATTI, [2**40, 1, 1])
+    assert _record_keys(got) == _record_keys(want)
+    assert got.witnesses == want.witnesses == [(2, 1)]
+
+
+def test_report_ranks_only_the_central_cells_of_a_symmetric_spec():
+    spec = MaciSpec((4, 5, 6, 7), (1, 1, 1, 1))
+    assert spec.socle_degree() == 15
+    report = lefschetz_report(spec.ideal())
+    assert report.slp
+    ranked = {(r.i, r.t) for r in report.maps if r.certificate == "mod_p"}
+    assert ranked == {(i, 15 - 2 * i) for i in range(8)}
+    # the schedule visits t downwards and, within one t, i upwards
+    visited = sorted(report.maps, key=lambda r: (-r.t, r.i))
+    order = {(r.i, r.t): k for k, r in enumerate(visited)}
+    for rec in report.maps:
+        if (rec.i, rec.t) in ranked:
+            assert rec.implied_by is None
+            continue
+        assert rec.certificate == "implied"
+        assert rec.full_rank and rec.rank == min(rec.dim_src, rec.dim_tgt)
+        source = report.map_at(*rec.implied_by)
+        assert source.full_rank
+        assert order[rec.implied_by] < order[(rec.i, rec.t)]
+    assert report.as_dict()["maps"][0]["implied_by"] == list(report.maps[0].implied_by)
+
+
+def test_report_deficient_cells_are_exact_never_implied():
+    rec = lefschetz_report(TOGLIATTI).map_at(2, 1)
+    assert (rec.certificate, rec.implied_by) == ("exact", None)
+    assert rec.as_dict()["certificate"] == "exact"
+    rng = seeded(139)
+    seen = 0
+    while seen < 10:
+        report = lefschetz_report(rand_maci(rng, rng.randint(3, 4), 5).ideal())
+        for rec in report.maps:
+            if not rec.full_rank:
+                seen += 1
+                assert (rec.certificate, rec.implied_by) == ("exact", None)
+            elif rec.certificate == "implied":
+                assert report.map_at(*rec.implied_by).full_rank
 
 
 def test_report_rejects_wrong_length_coefficients():
