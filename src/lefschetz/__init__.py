@@ -17,7 +17,6 @@ from .classify import (
     all_maci_grid,
     classify_maci,
     classify_support_two,
-    cross_verify,
     csm_decomposition,
     grid_from_json,
     is_symmetric_maci,

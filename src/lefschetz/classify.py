@@ -7,25 +7,23 @@ series (always strong Lefschetz).  The symmetric case is not returned as a
 bare constant: the central-simple-module decomposition underlying it is
 rebuilt and every one of its numeric proof obligations is re-checked, so a
 bug or a genuine counterexample surfaces as a loud error instead of a quiet
-wrong answer.  cross_verify compares both procedures against the rank oracle
-over finite grids.
+wrong answer.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations, product
 
 from .analysis import coincides, is_symmetric, reflecting_degree, two_var_profile
 from .core import Monomial, MonomialIdeal, pure_power
-from .oracle import HypothesisViolation, lefschetz_report
+from .oracle import HypothesisViolation
 from .series import HilbertSeries, MaciSpec, hilbert_series, maci_from_ideal
 
 RULE_N_EQ_2 = "n_eq_2"
 RULE_N3_CUBE_LE_2 = "n3_cube_le_2"
 RULE_ALMOST_CENTERED = "almost_centered"
-RULE_EXPLICIT_CONDITIONS = "explicit_conditions"
 RULE_SYMMETRIC_HS = "symmetric_hs"
 RULE_NOT_APPLICABLE = "not_applicable"
 
@@ -94,8 +92,6 @@ def classify_support_two(spec) -> ClassificationVerdict:
         return ClassificationVerdict(True, RULE_N3_CUBE_LE_2, details)
     if profile.almost_centered:
         return ClassificationVerdict(True, RULE_ALMOST_CENTERED, details)
-    if explicit:
-        return ClassificationVerdict(True, RULE_EXPLICIT_CONDITIONS, details)
     return ClassificationVerdict(False, RULE_NOT_APPLICABLE, details)
 
 
@@ -132,10 +128,14 @@ class CsmPiece:
     shift: int
     multiplier: int
 
+    @cached_property
+    def series(self) -> HilbertSeries:
+        return hilbert_series(self.ideal)
+
     def widened_series(self) -> HilbertSeries:
         """Series of the piece tensored with k[t]/(t^multiplier), shifted."""
         width = HilbertSeries([1] * self.multiplier)
-        return hilbert_series(self.ideal).shifted(self.shift) * width
+        return self.series.shifted(self.shift) * width
 
     def as_dict(self):
         return {
@@ -224,7 +224,7 @@ def _check_symmetric_decomposition(spec):
     if dec.total_series() != series:
         raise HypothesisViolation(f"widened piece series do not sum to the quotient series for {spec}")
     for piece in dec.pieces:
-        if not is_symmetric(hilbert_series(piece.ideal)):
+        if not is_symmetric(piece.series):
             raise HypothesisViolation(f"piece {piece.ideal} has a non-symmetric series for {spec}")
         if not coincides(reflecting_degree(piece.widened_series()), ambient):
             raise HypothesisViolation(f"widened reflecting degree of {piece.ideal} misses that of {spec}")
@@ -262,37 +262,6 @@ def classify_maci(spec):
             True, RULE_SYMMETRIC_HS, {"witness_order": [k + 1 for k in witness]}
         )
     return None
-
-
-def _cross_one(key):
-    spec = MaciSpec(key[0], key[1])
-    verdict = classify_maci(spec)
-    if verdict is None:
-        return None
-    oracle = lefschetz_report(spec.ideal()).slp
-    if oracle == verdict.slp:
-        return None
-    return {
-        "spec": spec.as_dict(),
-        "predicted": verdict.slp,
-        "oracle": oracle,
-        "rule": verdict.rule,
-    }
-
-
-def cross_verify(specs, jobs=1):
-    """Compare every applicable classification verdict against the rank oracle.
-
-    Returns the list of disagreements, expected empty; a nonempty result is
-    data worth reporting, not an error.
-    """
-    keys = [(spec.a, tuple(spec.m)) for spec in specs]
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cross_one, keys, chunksize=64))
-    else:
-        results = [_cross_one(k) for k in keys]
-    return [r for r in results if r is not None]
 
 
 def support_two_grid(n_values, max_exp, extra_exp=None):

@@ -18,7 +18,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .analysis import is_almost_centered, is_symmetric
 from .classify import classify_maci, csm_decomposition, grid_from_json
@@ -71,19 +71,9 @@ class SurveyRow:
     agreement: object  # bool or None, exactly when slp_predicted is None
     ms: float
 
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "a": list(self.a),
-            "m": list(self.m),
-            "symmetric": self.symmetric,
-            "almost_centered": self.almost_centered,
-            "wlp": self.wlp,
-            "slp": self.slp,
-            "slp_predicted": self.slp_predicted,
-            "agreement": self.agreement,
-            "ms": self.ms,
-        }
+
+SURVEY_COLUMNS = tuple(f.name for f in fields(SurveyRow))
+_SURVEY_CHUNK = 16
 
 
 def _survey_one(key):
@@ -108,26 +98,20 @@ def _survey_one(key):
 
 
 def survey_rows(specs, jobs=1):
-    """One row per spec, in grid order regardless of parallelism."""
+    """One row per spec, in grid order regardless of parallelism.
+
+    At most jobs worker processes are started, and never more than there
+    are cores or chunks of specs; with one worker the sweep runs in-process.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     keys = [(spec.a, tuple(spec.m)) for spec in specs]
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_survey_one, keys, chunksize=16))
+    chunks = -(-len(keys) // _SURVEY_CHUNK)
+    workers = min(jobs, os.cpu_count() or 1, chunks)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_survey_one, keys, chunksize=_SURVEY_CHUNK))
     return [_survey_one(k) for k in keys]
-
-
-SURVEY_COLUMNS = (
-    "n",
-    "a",
-    "m",
-    "symmetric",
-    "almost_centered",
-    "wlp",
-    "slp",
-    "slp_predicted",
-    "agreement",
-    "ms",
-)
 
 
 def _csv_cell(value):
@@ -144,12 +128,11 @@ def write_survey_csv(rows, fh):
     writer = csv.writer(fh)
     writer.writerow(SURVEY_COLUMNS)
     for row in rows:
-        data = row.as_dict()
-        writer.writerow([_csv_cell(data[col]) for col in SURVEY_COLUMNS])
+        writer.writerow([_csv_cell(value) for value in astuple(row)])
 
 
 def write_survey_json(rows, fh):
-    json.dump([row.as_dict() for row in rows], fh, indent=1)
+    json.dump([asdict(row) for row in rows], fh, indent=1)
     fh.write("\n")
 
 
@@ -274,7 +257,8 @@ def _build_parser():
         "--jobs",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes for survey (default: available cores)",
+        help="worker processes for survey, at least 1; no more start than there are "
+        "cores or 16-spec chunks (default: available cores)",
     )
     parser.add_argument(
         "--nvars",

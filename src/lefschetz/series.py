@@ -262,7 +262,11 @@ class MaciSpec:
 
     @classmethod
     def from_dict(cls, data):
-        """Strict inverse of as_dict: "a" and "m" are lists of plain ints."""
+        """Strict inverse of as_dict: "a" and "m" are lists of plain ints,
+        "n" is optional and no other key is allowed."""
+        unknown = sorted(set(data) - {"n", "a", "m"})
+        if unknown:
+            raise ValueError(f"unknown keys in the spec: {', '.join(unknown)}")
         for key in ("a", "m"):
             if key not in data:
                 raise ValueError(f'the spec needs an "{key}" list')

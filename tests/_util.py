@@ -18,6 +18,7 @@ from lefschetz import (
     matrix_rank,
     standard_monomial_table,
 )
+from lefschetz.cli import survey_rows
 from lefschetz.oracle import (
     _PRIME,
     CERT_EMPTY,
@@ -191,3 +192,8 @@ def symmetric_product_check(p, q):
     if p.is_zero() or q.is_zero():
         raise ValueError("factors must be nonzero")
     return (is_symmetric(p), is_symmetric(q), is_symmetric(p * q))
+
+
+def survey_disagreements(specs):
+    """Survey rows whose closed-form verdict contradicts the rank oracle."""
+    return [row for row in survey_rows(specs, jobs=1) if row.agreement is False]

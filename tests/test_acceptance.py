@@ -14,7 +14,6 @@ from lefschetz import (
     MonomialIdeal,
     classify_support_two,
     colon_by_monomial,
-    cross_verify,
     csm_decomposition,
     hilbert_series,
     is_almost_centered,
@@ -39,6 +38,7 @@ from _util import (
     rand_monomial,
     rand_series,
     seeded,
+    survey_disagreements,
     symmetric_product_check,
     two_var_series_by_enumeration,
 )
@@ -138,7 +138,7 @@ def test_c5_support_two_biconditional():
         + support_two_grid([3], 6)
         + support_two_grid([4], 6, extra_exp=2)
     )
-    disagreements = cross_verify(grid)
+    disagreements = survey_disagreements(grid)
     elapsed = time.perf_counter() - start
     ok = disagreements == [] and len(grid) == 225 + 1350 + 225
     report(5, ok and elapsed < 1800, elapsed,

@@ -10,7 +10,6 @@ from lefschetz import (
     all_maci_grid,
     classify_maci,
     classify_support_two,
-    cross_verify,
     csm_decomposition,
     grid_from_json,
     hilbert_series,
@@ -23,7 +22,7 @@ from lefschetz import (
     symmetric_witness,
     two_var_profile,
 )
-from _util import rand_maci, seeded
+from _util import rand_maci, seeded, survey_disagreements
 
 
 def test_classify_example_pair():
@@ -174,24 +173,25 @@ def test_classify_maci_dispatch():
 
 
 def test_cross_verify_small_grids():
-    assert cross_verify([]) == []
-    assert cross_verify(support_two_grid([2], 4)) == []
-    assert cross_verify(support_two_grid([3], 3)) == []
+    assert survey_disagreements([]) == []
+    assert survey_disagreements(support_two_grid([2], 4)) == []
+    assert survey_disagreements(support_two_grid([3], 3)) == []
     sym = [s for s in symmetric_grid([3], 8) if len(s.m.support) > 2]
-    assert cross_verify(sym[:40]) == []
+    assert survey_disagreements(sym[:40]) == []
 
 
 def test_cross_verify_flags_wrong_predictions(monkeypatch):
     import lefschetz.classify as classify_mod
+    import lefschetz.cli as cli_mod
 
     spec = MaciSpec((2, 2), (1, 1))
 
     def wrong(_spec):
         return classify_mod.ClassificationVerdict(False, "n_eq_2", {})
 
-    monkeypatch.setattr(classify_mod, "classify_maci", wrong)
-    bad = cross_verify([spec])
-    assert len(bad) == 1 and bad[0]["predicted"] is False and bad[0]["oracle"] is True
+    monkeypatch.setattr(cli_mod, "classify_maci", wrong)
+    bad = survey_disagreements([spec])
+    assert len(bad) == 1 and bad[0].slp_predicted is False and bad[0].slp is True
 
 
 def test_support_two_grid_shape():
@@ -269,3 +269,34 @@ def test_hypothesis_violation_when_identity_is_broken(monkeypatch):
     monkeypatch.setattr(classify_mod, "csm_decomposition", broken)
     with pytest.raises(HypothesisViolation):
         slp_symmetric(spec)
+
+
+def test_slp_symmetric_computes_each_piece_series_once(monkeypatch):
+    import lefschetz.classify as classify_mod
+
+    pieces = []
+    calls = []
+    real_decomposition = classify_mod.csm_decomposition
+    real_series = classify_mod.hilbert_series
+
+    def recording(spec, var=None):
+        dec = real_decomposition(spec, var)
+        pieces.extend(dec.pieces)
+        return dec
+
+    def counting(ideal):
+        calls.append(ideal)
+        return real_series(ideal)
+
+    monkeypatch.setattr(classify_mod, "csm_decomposition", recording)
+    monkeypatch.setattr(classify_mod, "hilbert_series", counting)
+    for spec in (
+        MaciSpec((2, 3, 4, 5), (1, 1, 1, 1)),
+        MaciSpec((2, 5, 3), (1, 2, 1)),
+        MaciSpec((3, 4, 2, 6), (2, 1, 0, 2)),
+    ):
+        pieces.clear()
+        calls.clear()
+        assert slp_symmetric(spec)
+        assert len(pieces) >= 2
+        assert calls == [piece.ideal for piece in pieces], spec

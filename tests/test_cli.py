@@ -109,6 +109,7 @@ def test_check_matrix_dump_of_unit_quotient(capsys):
         '{"m": [1, 1, 1]}',
         "x1^\uff102, x2^2, x1*x2",
         "x\u0661^2, x2^2, x1*x2",
+        '{"a": [3, 3], "m": [1, 1], "M": [2, 2], "nn": 7}',
     ],
 )
 def test_strict_input_boundary(capsys, text):
@@ -116,6 +117,12 @@ def test_strict_input_boundary(capsys, text):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_spec_json_names_unknown_keys(capsys):
+    code, _, err = run(capsys, "check", '{"a": [3, 3], "m": [1, 1], "M": [2, 2], "nn": 7}')
+    assert code == 1
+    assert err == "error: unknown keys in the spec: M, nn\n"
 
 
 def test_check_random_form(capsys):
@@ -233,6 +240,9 @@ def test_survey_formats_round_trip_one_row_set(tmp_path):
     with open(csv_path, newline="") as fh:
         csv_rows = list(csv.DictReader(fh))
     assert len(csv_rows) == len(json_rows) == len(rows)
+    header = "n,a,m,symmetric,almost_centered,wlp,slp,slp_predicted,agreement,ms"
+    assert csv_path.read_text().splitlines()[0] == header
+    assert all(list(row) == header.split(",") for row in json_rows)
     for got, want in zip(csv_rows, json_rows):
         assert [int(v) for v in got["a"].split()] == want["a"]
         assert float(got["ms"]) == want["ms"]
@@ -261,17 +271,73 @@ def test_survey_discrepancy_exits_three(tmp_path, capsys, monkeypatch):
     assert "disagreements: 1" in out
 
 
+def _strip(rows):
+    return [
+        (r.n, r.a, r.m, r.symmetric, r.almost_centered, r.wlp, r.slp, r.slp_predicted, r.agreement)
+        for r in rows
+    ]
+
+
 def test_survey_rows_shape_and_parallel_consistency():
-    grid = support_two_grid([2], 3)
+    # 36 specs, more than one 16-spec chunk, so two jobs start a real pool
+    grid = support_two_grid([2], 4)
     serial = survey_rows(grid, jobs=1)
     assert all(row.agreement is True for row in serial)
     assert all((row.agreement is None) == (row.slp_predicted is None) for row in serial)
     parallel = survey_rows(grid, jobs=2)
-    strip = lambda rows: [
-        (r.n, r.a, r.m, r.symmetric, r.almost_centered, r.wlp, r.slp, r.slp_predicted, r.agreement)
-        for r in rows
-    ]
-    assert strip(serial) == strip(parallel)
+    assert _strip(serial) == _strip(parallel)
+
+
+def test_survey_rows_caps_the_worker_count(monkeypatch):
+    import os
+
+    import lefschetz.cli as cli_mod
+
+    started = []
+
+    class FakePool:
+        # records the pool it was asked for and maps in-process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, keys, chunksize):
+            started.append(("chunksize", chunksize))
+            return map(fn, keys)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", FakePool)
+    grid = support_two_grid([2], 4)  # 36 specs: three 16-spec chunks
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    rows = survey_rows(grid, jobs=1000)
+    assert started == [3, ("chunksize", 16)]
+    assert _strip(rows) == _strip(survey_rows(grid, jobs=1))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    survey_rows(grid, jobs=1000)
+    assert started[2:] == [2, ("chunksize", 16)]
+    del started[:]
+    survey_rows(grid, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    survey_rows(grid, jobs=1000)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    survey_rows(support_two_grid([2], 3), jobs=8)  # 9 specs: one chunk
+    assert survey_rows([], jobs=8) == []
+    assert started == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_survey_rejects_bad_jobs(tmp_path, capsys, jobs):
+    grid = json.dumps({"family": "support_two", "n": [2, 2], "max_exp": 3})
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "--jobs", jobs, "survey", grid, "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
+    assert not out_path.exists()
 
 
 def test_unknown_grid_family_exits_one(tmp_path, capsys):
