@@ -10,9 +10,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 MAX_EXPONENT = 2**63 - 1  # exponents stay machine-width; coefficients do not
 MAX_VAR_INDEX = 10_000
+# Work budget: the most entries a table may hold, checked before the box
+# below the pure powers (prod a_j) is enumerated and before the oracle's
+# power table (prod (2 a_j - 1) Python ints) is allocated.  A power table
+# of 359,375 entries takes about 1 s and 7 MB to build on a 2 GHz Xeon
+# core; pure powers a = (7, 8, 9, 10) need 62,985.
+MAX_TABLE_ENTRIES = 1_000_000
 DIGITS = "0123456789"  # str.isdigit also admits non-ASCII digits
 
 
@@ -79,7 +86,7 @@ def minimalize(gens) -> frozenset:
 class MonomialIdeal:
     """A monomial ideal in n variables, stored by its minimal generators."""
 
-    __slots__ = ("n", "generators")
+    __slots__ = ("n", "generators", "_bounds")
 
     def __init__(self, n, generators):
         n = int(n)
@@ -93,6 +100,12 @@ class MonomialIdeal:
             gens.append(g)
         self.n = n
         self.generators = minimalize(gens)
+        bounds = [None] * n
+        for g in self.generators:
+            support = g.support
+            if len(support) == 1:
+                bounds[support[0]] = g[support[0]]
+        self._bounds = tuple(bounds)
 
     def __eq__(self, other):
         return (
@@ -120,10 +133,7 @@ class MonomialIdeal:
 
     def pure_power_bound(self, i):
         """Exponent a with x_{i+1}^a a generator, or None."""
-        for g in self.generators:
-            if g.support == (i,):
-                return g[i]
-        return None
+        return self._bounds[i]
 
     def is_artinian(self) -> bool:
         """True iff the quotient is finite dimensional.
@@ -131,9 +141,7 @@ class MonomialIdeal:
         For a monomial ideal this happens exactly when every variable has a
         pure power among the generators (or the ideal is the unit ideal).
         """
-        if self.is_unit():
-            return True
-        return all(self.pure_power_bound(i) is not None for i in range(self.n))
+        return self.is_unit() or None not in self._bounds
 
     def contains(self, m) -> bool:
         return any(g.divides(m) for g in self.generators)
@@ -257,19 +265,30 @@ def render_ideal(ideal) -> str:
     return ", ".join(render_monomial(g) for g in ideal.sorted_generators())
 
 
+def check_table_size(sizes):
+    """Raise ValueError when a table of prod(sizes) entries exceeds the budget."""
+    entries = prod(sizes)
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"a table of {entries} entries exceeds the budget of {MAX_TABLE_ENTRIES}"
+        )
+
+
 @lru_cache(maxsize=256)
 def standard_monomial_table(ideal):
     """Standard monomials of R/I bucketed by degree.
 
     Each bucket is ordered graded-lexicographically with x1 largest, so
     bases (and hence matrices) are deterministic.  Only Artinian ideals are
-    accepted; anything else would enumerate forever.
+    accepted; anything else would enumerate forever.  A box of more than
+    MAX_TABLE_ENTRIES exponent vectors is refused before enumeration.
     """
     if not ideal.is_artinian():
         raise ValueError("standard monomials form an infinite set for a non-Artinian ideal")
     if ideal.is_unit():
         return ()
     bounds = [ideal.pure_power_bound(i) for i in range(ideal.n)]
+    check_table_size(bounds)
     cross = [tuple(g) for g in ideal.generators if not g.is_pure_power()]
     buckets = [[] for _ in range(sum(bounds) - ideal.n + 1)]
     ranges = [range(b - 1, -1, -1) for b in bounds]

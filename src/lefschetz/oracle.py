@@ -11,9 +11,17 @@ l^|d|, for every exponent difference d that two standard monomials can
 have (see ``_power_table``).  Reducing that table modulo a word-size prime
 once per report gives every cell's residues; elimination modulo the prime
 can only underestimate the rank over Q, so whenever it reports min(dim) the
-map is proven to have full rank.  Every remaining cell is recomputed from
-the table's exact entries by fraction-free integer elimination.  Floating
-point is never used.
+map is proven to have full rank.  Below that, the rank r mod p is still a
+proven lower bound, and the matching upper bound comes from dim - r
+independent integer vectors in the kernel of the cell (or of its
+transpose, whichever has fewer columns), each checked exactly as M v = 0
+over Z.  The vectors are read off the reduced echelon form mod p and lifted
+by Chinese remaindering over a few primes and rational reconstruction
+(Wang, Guy and Davenport 1982), a certificate in the sense of Kaltofen,
+Nehring and Saunders (ISSAC 2011); see ``_kernel_certifies``.  Only a cell
+whose kernel vectors do not verify is ranked again from the table's exact
+entries by fraction-free (Bareiss) elimination.  Floating point is never
+used.
 
 Most cells are never ranked, because three facts that hold for every
 standard graded Artinian algebra and every linear form imply their full
@@ -36,23 +44,39 @@ cells are ranked.  For a symmetric Hilbert function of socle degree D this
 ranks the central maps l^(D-2i) : A_i -> A_(D-i) first, and when they are
 bijective, the strong Lefschetz property in the narrow sense of Harima et
 al., *The Lefschetz Properties* (LNM 2080), nothing else.  A rank-deficient
-cell is never implied, so every exact fallback still runs.  Each
-``MapRecord`` names its ``certificate``: "mod_p", "exact", "implied" (with
-the proven cell in ``implied_by``) or "empty" for a zero space.
+cell is never implied, so each one is certified.  Each ``MapRecord`` names
+its ``certificate``:
+
+* "mod_p": full rank mod p;
+* "kernel": rank mod p, matched by verified integer kernel vectors;
+* "exact": rank from the Bareiss fallback;
+* "implied": full rank implied by the proven cell in ``implied_by``;
+* "empty": the source or the target is the zero space.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isqrt, lcm
 
 import numpy as np
 
-from .core import MonomialIdeal, standard_monomial_table
+from .core import MonomialIdeal, check_table_size, standard_monomial_table
 from .series import HilbertSeries, hilbert_series
 
 _PRIME = 2_147_483_647  # 2^31 - 1; products of two residues fit in int64
+# the largest primes below 2^31, for Chinese remaindering of kernel vectors
+_PRIMES = (
+    _PRIME,
+    2_147_483_629,
+    2_147_483_587,
+    2_147_483_579,
+    2_147_483_563,
+    2_147_483_549,
+    2_147_483_543,
+    2_147_483_497,
+)
 
 REASON_INJECTIVE = "injective"
 REASON_SURJECTIVE = "surjective"
@@ -60,7 +84,8 @@ REASON_BIJECTIVE = "bijective"
 REASON_NEITHER = "neither"
 
 CERT_MOD_P = "mod_p"  # full rank shown by elimination modulo the prime
-CERT_EXACT = "exact"  # rank from fraction-free elimination over Z
+CERT_KERNEL = "kernel"  # rank mod p matched by kernel vectors verified over Z
+CERT_EXACT = "exact"  # rank from the fraction-free elimination fallback
 CERT_IMPLIED = "implied"  # full rank follows from another proven cell
 CERT_EMPTY = "empty"  # source or target is the zero space
 
@@ -86,6 +111,7 @@ def _power_table(ideal, coefficients=None):
     sits at ``center + key(u) - key(v)``.
 
     Returns (keys by degree as int64 arrays, flat object table, center).
+    A box of more than MAX_TABLE_ENTRIES entries is a ValueError.
     """
     n = ideal.n
     if coefficients is None:
@@ -98,6 +124,7 @@ def _power_table(ideal, coefficients=None):
     if not basis:  # the unit ideal: no monomials and no entries
         return (), np.zeros(0, dtype=object), 0
     bounds = [ideal.pure_power_bound(j) for j in range(n)]
+    check_table_size([2 * a - 1 for a in bounds])
     fact = [factorial(k) for k in range(sum(bounds) - n + 1)]
     degree = np.zeros((), dtype=np.int64)
     denom = np.ones((), dtype=object)
@@ -177,12 +204,16 @@ def matrix_rank(matrix) -> int:
     return rank
 
 
-def _rank_mod_prime(matrix, p=_PRIME) -> int:
-    """Rank of an int64 matrix over F_p; never exceeds the rank over Q."""
+def _echelon_mod_prime(matrix, p):
+    """Pivot columns and nonzero rows of a row echelon form of an int64 matrix over F_p.
+
+    Every pivot is scaled to 1.
+    """
     A = np.mod(matrix, p)
     nrows, ncols = A.shape
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         nz = np.nonzero(A[rank:, col])[0]
         if nz.size == 0:
             continue
@@ -195,10 +226,108 @@ def _rank_mod_prime(matrix, p=_PRIME) -> int:
         A[rank + 1 :, col:] = (
             A[rank + 1 :, col:] - below[:, None] * A[rank, col:][None, :]
         ) % p
-        rank += 1
-        if rank == nrows:
+        pivots.append(col)
+        if rank + 1 == nrows:
             break
-    return rank
+    return pivots, A[: len(pivots)]
+
+
+def _rank_mod_prime(matrix, p=_PRIME) -> int:
+    """Rank of an int64 matrix over F_p; never exceeds the rank over Q."""
+    return len(_echelon_mod_prime(matrix, p)[0])
+
+
+def _kernel_mod_prime(matrix, p):
+    """Pivot columns, free columns and the kernel basis of ``matrix`` over F_p.
+
+    The basis has one vector per free column j: 1 there, 0 in the other
+    free columns and -R[k, j] in pivot column k, where R is the reduced row
+    echelon form.  Only its entries in the pivot columns are returned, one
+    column per free column: back substitution through the unit triangle of
+    the echelon form on the free columns alone gives R's free columns.
+    """
+    pivots, U = _echelon_mod_prime((matrix % p).astype(np.int64), p)
+    free = sorted(set(range(matrix.shape[1])) - set(pivots))
+    triangle = U[:, pivots]
+    X = U[:, free]
+    for k in range(len(pivots) - 2, -1, -1):
+        X[k] = (X[k] - (triangle[k, k + 1 :, None] * X[k + 1 :] % p).sum(axis=0)) % p
+    return pivots, free, -X % p
+
+
+def _rational(x, modulus):
+    """(a, b) with a = b * x mod modulus and |a|, 0 < b <= sqrt(modulus / 2), or None.
+
+    Rational reconstruction by the half extended Euclidean algorithm (Wang,
+    Guy and Davenport 1982).
+    """
+    bound = isqrt(modulus // 2)
+    r0, r1, s0, s1 = modulus, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _integer_kernel(residues, modulus, pivots, free, ncols):
+    """Integer kernel vectors read back from their residues, or None.
+
+    Column j of ``residues`` holds the entries in the pivot columns of the
+    kernel vector of free column ``free[j]``; each is reconstructed as a
+    fraction and the vector scaled by the lcm of its denominators.
+    """
+    kernel = np.zeros((ncols, len(free)), dtype=object)
+    for j, f in enumerate(free):
+        fractions = [_rational(x, modulus) for x in residues[:, j]]
+        if None in fractions:
+            return None
+        scale = lcm(*(b for _, b in fractions))
+        kernel[f, j] = scale
+        kernel[pivots, j] = [a * (scale // b) for a, b in fractions]
+    return kernel
+
+
+def _kernel_certifies(matrix, rank) -> bool:
+    """Whether integer kernel vectors prove rank <= ``rank`` over Q.
+
+    ``matrix`` is an object array of Python ints.  Of it and its transpose,
+    B is the one with no more columns than rows, so that its kernel has
+    dimension ncols - rank.  Modulo each prime of ``_PRIMES`` in turn, the
+    reduced row echelon form R of B gives one kernel vector per free column:
+    1 there, 0 in the other free columns and -R[k, j] in pivot column k.
+    The residues of all primes so far are combined by Chinese remaindering
+    and lifted to integer vectors (``_integer_kernel``).  The vectors are
+    independent, since they form an identity block on the free columns, so
+    once B times them is exactly zero over Z, B has at most ``rank``
+    independent columns.  With elimination mod p, which never overstates
+    the rank, this certifies it (Kaltofen, Nehring and Saunders, ISSAC
+    2011).  False when the first prime does not give ``rank`` pivots, a
+    later prime gives other pivot columns, or no prime yields vectors that
+    verify.
+    """
+    B = matrix if matrix.shape[1] <= matrix.shape[0] else matrix.T
+    first = residues = None
+    modulus = 1
+    for p in _PRIMES:
+        pivots, free, block = _kernel_mod_prime(B, p)
+        if first is None:
+            if len(pivots) != rank:
+                return False
+            first = pivots
+        elif pivots != first:
+            return False
+        block = block.astype(object)
+        if residues is None:
+            residues = block
+        else:  # the residue mod modulus * p that matches both
+            residues = residues + modulus * ((block - residues) * pow(modulus, -1, p) % p)
+        modulus *= p
+        kernel = _integer_kernel(residues, modulus, pivots, free, B.shape[1])
+        if kernel is not None and not np.count_nonzero(B.dot(kernel)):
+            return True
+    return False
 
 
 @dataclass
@@ -212,7 +341,7 @@ class MapRecord:
     rank: int
     full_rank: bool
     reason: str
-    certificate: str  # one of CERT_MOD_P, CERT_EXACT, CERT_IMPLIED, CERT_EMPTY
+    certificate: str  # one of CERT_MOD_P, CERT_KERNEL, CERT_EXACT, CERT_IMPLIED, CERT_EMPTY
     implied_by: object = None  # (i, t) of the proven cell implying this one
 
     def as_dict(self):
@@ -309,7 +438,9 @@ def lefschetz_report(ideal, coefficients=None) -> LefschetzReport:
             else:
                 cell = center + keys[i + t][:, None] - keys[i]
                 rank, certificate = _rank_mod_prime(residues[cell]), CERT_MOD_P
-                if rank < small:
+                if rank < small and _kernel_certifies(table[cell], rank):
+                    certificate = CERT_KERNEL
+                elif rank < small:  # the last resort
                     exact = matrix_rank(table[cell].tolist())
                     if exact < rank:
                         raise HypothesisViolation(

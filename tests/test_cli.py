@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -123,6 +124,16 @@ def test_spec_json_names_unknown_keys(capsys):
     code, _, err = run(capsys, "check", '{"a": [3, 3], "m": [1, 1], "M": [2, 2], "nn": 7}')
     assert code == 1
     assert err == "error: unknown keys in the spec: M, nn\n"
+
+
+def test_check_refuses_an_input_over_the_work_budget(capsys):
+    # 40^5 standard monomials would be enumerated without the budget
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", '{"a":[40,40,40,40,40],"m":[1,1,1,1,1]}')
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
 
 
 def test_check_random_form(capsys):

@@ -148,6 +148,21 @@ def test_standard_monomials_require_artinian():
         standard_monomials(parse_ideal("x1^2", n=2), 1)
 
 
+def test_standard_monomials_refuse_a_box_over_the_work_budget():
+    with pytest.raises(ValueError, match="budget"):
+        standard_monomials(parse_ideal("x1^1001, x2^1000"), 0)
+
+
+def test_pure_power_bounds():
+    ideal = parse_ideal("x1^5, x1^3, x3^2, x1*x2", n=3)
+    assert [ideal.pure_power_bound(i) for i in range(3)] == [3, None, 2]
+    assert not ideal.is_artinian()
+    closed = ideal.plus_monomial(pure_power(3, 1, 4))
+    assert [closed.pure_power_bound(i) for i in range(3)] == [3, 4, 2]
+    assert closed.is_artinian()
+    assert MonomialIdeal(2, [Monomial((0, 0))]).is_artinian()
+
+
 def test_hilbert_series_golden():
     hs = hilbert_series(parse_ideal(GOLDEN))
     assert hs.offset == 0

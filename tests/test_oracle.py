@@ -1,5 +1,7 @@
 """Multiplication matrices, exact ranks and Lefschetz reports."""
 
+from math import isqrt
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,12 @@ from lefschetz import (
     matrix_rank,
     multiplication_matrix,
     parse_ideal,
+    pure_power,
     standard_monomial_table,
     standard_monomials,
     tensor_map_full_rank,
 )
-from lefschetz.oracle import _rank_mod_prime
+from lefschetz.oracle import _PRIME, _PRIMES, _kernel_certifies, _rank_mod_prime
 from _util import (
     lefschetz_report_all_cells,
     multiplication_matrix_by_entries,
@@ -245,8 +248,8 @@ def test_report_ranks_only_the_central_cells_of_a_symmetric_spec():
 
 def test_report_deficient_cells_are_exact_never_implied():
     rec = lefschetz_report(TOGLIATTI).map_at(2, 1)
-    assert (rec.certificate, rec.implied_by) == ("exact", None)
-    assert rec.as_dict()["certificate"] == "exact"
+    assert (rec.certificate, rec.implied_by) == ("kernel", None)
+    assert rec.as_dict()["certificate"] == "kernel"
     rng = seeded(139)
     seen = 0
     while seen < 10:
@@ -254,7 +257,7 @@ def test_report_deficient_cells_are_exact_never_implied():
         for rec in report.maps:
             if not rec.full_rank:
                 seen += 1
-                assert (rec.certificate, rec.implied_by) == ("exact", None)
+                assert (rec.certificate, rec.implied_by) == ("kernel", None)
             elif rec.certificate == "implied":
                 assert report.map_at(*rec.implied_by).full_rank
 
@@ -268,10 +271,97 @@ def test_report_rejects_wrong_length_coefficients():
 
 def test_report_raises_when_exact_rank_undershoots(monkeypatch):
     # the exact rank can never fall below the rank mod p; if it does, the
-    # report must refuse even when assertions are compiled out
+    # report must refuse even when assertions are compiled out.  A form
+    # coefficient divisible by the first prime is what sends a cell to the
+    # Bareiss fallback.
     monkeypatch.setattr(lefschetz.oracle, "matrix_rank", lambda matrix: 0)
     with pytest.raises(HypothesisViolation):
-        lefschetz_report(TOGLIATTI)
+        lefschetz_report(TOGLIATTI, coefficients=[2**31 - 1, 1, 1])
+
+
+def _count_bareiss(monkeypatch):
+    """Patch the Bareiss fallback to record each matrix it ranks."""
+    calls = []
+    bareiss = lefschetz.oracle.matrix_rank
+
+    def counted(matrix):
+        calls.append(matrix)
+        return bareiss(matrix)
+
+    monkeypatch.setattr(lefschetz.oracle, "matrix_rank", counted)
+    return calls
+
+
+def test_report_certifies_deficient_cells_by_kernel_vectors(monkeypatch):
+    ideal = MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal()
+    want = lefschetz_report_all_cells(ideal)
+    calls = _count_bareiss(monkeypatch)
+    got = lefschetz_report(ideal)
+    assert calls == []
+    deficient = [rec for rec in got.maps if not rec.full_rank]
+    assert deficient
+    for rec in deficient:
+        assert (rec.certificate, rec.implied_by) == ("kernel", None)
+    assert [(r.i, r.t, r.rank) for r in got.maps] == [(r.i, r.t, r.rank) for r in want.maps]
+
+
+@pytest.mark.parametrize("coeffs", [[2**31 - 1, 1, 1], [2 * (2**31 - 1), 3, -1]])
+def test_report_falls_back_to_bareiss_after_an_unlucky_prime(monkeypatch, coeffs):
+    # the first coefficient vanishes mod the first prime, so one cell of
+    # full rank over Q loses rank mod p; its kernel vectors cannot verify,
+    # the next prime moves its pivots, and Bareiss ranks it
+    want = lefschetz_report_all_cells(TOGLIATTI, coeffs)
+    calls = _count_bareiss(monkeypatch)
+    got = lefschetz_report(TOGLIATTI, coeffs)
+    assert len(calls) == 1
+    assert [r.certificate for r in got.maps].count("exact") == 1
+    assert _record_keys(got) == _record_keys(want)
+    assert got.witnesses == want.witnesses == [(2, 1)]
+
+
+def test_kernel_certificate_gives_up_rather_than_understate():
+    # rank 2 over Q but rank 1 mod the first prime: the kernel vector (1, 0)
+    # is not a kernel vector over Z and the second prime has other pivots
+    matrix = np.array([[_PRIME, 0], [0, 1]], dtype=object)
+    assert _rank_mod_prime(matrix.astype(np.int64)) == 1
+    assert not _kernel_certifies(matrix, 1)
+    # rank 1 in either orientation; more columns than rows means the
+    # transpose is the one whose kernel is taken
+    assert _kernel_certifies(np.array([[2, 4], [1, 2], [-3, -6]], dtype=object), 1)
+    assert _kernel_certifies(np.array([[2, 1, -3], [4, 2, -6]], dtype=object), 1)
+    assert not _kernel_certifies(np.array([[2, 4], [1, 3]], dtype=object), 1)
+
+
+def test_kernel_certificate_combines_primes(monkeypatch):
+    # the kernel vector (b, -a) needs a numerator and denominator near
+    # 2^20, beyond rational reconstruction mod one prime (about 2^15)
+    a, b = 1_000_003, 999_983
+    primes = []
+    kernel_mod_prime = lefschetz.oracle._kernel_mod_prime
+
+    def recorded(matrix, p):
+        primes.append(p)
+        return kernel_mod_prime(matrix, p)
+
+    monkeypatch.setattr(lefschetz.oracle, "_kernel_mod_prime", recorded)
+    assert _kernel_certifies(np.array([[a, b], [2 * a, 2 * b], [0, 0]], dtype=object), 1)
+    assert primes == list(_PRIMES[:2])
+
+
+def test_kernel_primes_are_distinct_primes_below_2_31():
+    assert _PRIMES[0] == _PRIME
+    assert len(set(_PRIMES)) == len(_PRIMES)
+    for p in _PRIMES:
+        assert p < 2**31
+        assert all(p % d for d in range(2, isqrt(p) + 1)), p
+
+
+def test_power_table_over_the_work_budget_is_refused():
+    # 2^13 standard monomials, but a power table of 3^13 entries
+    ideal = MonomialIdeal(13, [pure_power(13, j, 2) for j in range(13)])
+    assert len(standard_monomials(ideal, 6)) == 1716
+    with pytest.raises(ValueError, match="budget"):
+        lefschetz_report(ideal)
 
 
 def test_report_socle_21_symmetric_spec_has_slp():
