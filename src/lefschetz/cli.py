@@ -18,7 +18,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 from .analysis import is_almost_centered, is_symmetric
 from .classify import classify_maci, csm_decomposition, grid_from_json
@@ -100,18 +100,41 @@ def _survey_one(key):
 def survey_rows(specs, jobs=1):
     """One row per spec, in grid order regardless of parallelism.
 
+    Renaming the variables gives an isomorphic quotient and fixes
+    l = x1 + ... + xn, so every column but n, a, m is the same across a
+    relabeling class (MaciSpec.relabeling_class).  Each class is computed
+    once, on its first spec in grid order; the other specs of the class get
+    a copy of that row with their own n, a and m.  The ms column is the time
+    spent computing the row: the first row of a class carries it and the
+    copies read 0.0, so the ms column sums to the sweep's busy time.
+
     At most jobs worker processes are started, and never more than there
-    are cores or chunks of specs; with one worker the sweep runs in-process.
+    are cores or chunks of classes; with one worker the sweep runs
+    in-process.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    keys = [(spec.a, tuple(spec.m)) for spec in specs]
+    specs = list(specs)
+    first = {}
+    for index, spec in enumerate(specs):
+        first.setdefault(spec.relabeling_class(), index)
+    keys = [(specs[i].a, tuple(specs[i].m)) for i in first.values()]
     chunks = -(-len(keys) // _SURVEY_CHUNK)
     workers = min(jobs, os.cpu_count() or 1, chunks)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_survey_one, keys, chunksize=_SURVEY_CHUNK))
-    return [_survey_one(k) for k in keys]
+            computed = list(pool.map(_survey_one, keys, chunksize=_SURVEY_CHUNK))
+    else:
+        computed = [_survey_one(k) for k in keys]
+    by_class = dict(zip(first, computed))
+    rows = []
+    for index, spec in enumerate(specs):
+        cls = spec.relabeling_class()
+        row = by_class[cls]
+        if first[cls] != index:
+            row = replace(row, n=spec.n, a=spec.a, m=tuple(spec.m), ms=0.0)
+        rows.append(row)
+    return rows
 
 
 def _csv_cell(value):
@@ -243,7 +266,11 @@ def cmd_survey(args):
         else:
             write_survey_json(rows, fh)
     disagreements = sum(1 for r in rows if r.agreement is False)
-    print(f"wrote {len(rows)} rows to {args.out}; disagreements: {disagreements}")
+    classes = len({spec.relabeling_class() for spec in specs})
+    print(
+        f"wrote {len(rows)} rows ({classes} relabeling classes) to {args.out}; "
+        f"disagreements: {disagreements}"
+    )
     return 3 if disagreements else 0
 
 
@@ -258,7 +285,7 @@ def _build_parser():
         type=int,
         default=os.cpu_count() or 1,
         help="worker processes for survey, at least 1; no more start than there are "
-        "cores or 16-spec chunks (default: available cores)",
+        "cores or chunks of 16 relabeling classes (default: available cores)",
     )
     parser.add_argument(
         "--nvars",

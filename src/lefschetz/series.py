@@ -10,9 +10,12 @@ cross-check.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .core import (
     Monomial,
     MonomialIdeal,
+    check_table_size,
     colon_by_monomial,
     pure_power,
     standard_monomial_table,
@@ -143,11 +146,24 @@ class HilbertSeries:
 
 
 def ci_series(exponents) -> HilbertSeries:
-    """Series of a monomial complete intersection: prod of (1 + t + ... + t^(a-1))."""
+    """Series of a monomial complete intersection: prod of (1 + t + ... + t^(a-1)).
+
+    The product does not depend on the order of the exponents, so it is
+    computed once per sorted exponent tuple.  A product whose cost, its
+    coefficient count sum(a) - n + 1 times max(a), exceeds the work budget
+    is refused before the first multiplication.
+    """
+    return _ci_series(tuple(sorted(exponents)))
+
+
+@lru_cache(maxsize=1024)
+def _ci_series(exponents) -> HilbertSeries:
+    if exponents:
+        if exponents[0] < 1:
+            raise ValueError("complete intersection exponents must be >= 1")
+        check_table_size((sum(exponents) - len(exponents) + 1, exponents[-1]))
     series = HilbertSeries([1])
     for a in exponents:
-        if a < 1:
-            raise ValueError("complete intersection exponents must be >= 1")
         series = series * HilbertSeries([1] * a)
     return series
 
@@ -226,6 +242,15 @@ class MaciSpec:
 
     def __repr__(self):
         return f"MaciSpec(a={self.a}, m={tuple(self.m)})"
+
+    def relabeling_class(self):
+        """Key shared by every renaming of the variables of this spec.
+
+        Renaming the variables gives an isomorphic quotient and fixes
+        l = x1 + ... + xn, so every rank, Lefschetz verdict and closed-form
+        rule is the same on all specs with one key.
+        """
+        return tuple(sorted(zip(self.a, self.m)))
 
     def ideal(self) -> MonomialIdeal:
         gens = [pure_power(self.n, i, self.a[i]) for i in range(self.n)]

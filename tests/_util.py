@@ -18,7 +18,7 @@ from lefschetz import (
     matrix_rank,
     standard_monomial_table,
 )
-from lefschetz.cli import survey_rows
+from lefschetz.cli import _survey_one, survey_rows
 from lefschetz.oracle import (
     _PRIME,
     CERT_EMPTY,
@@ -197,3 +197,8 @@ def symmetric_product_check(p, q):
 def survey_disagreements(specs):
     """Survey rows whose closed-form verdict contradicts the rank oracle."""
     return [row for row in survey_rows(specs, jobs=1) if row.agreement is False]
+
+
+def survey_rows_per_spec(specs):
+    """Reference sweep: classify_maci and lefschetz_report on every labeled spec."""
+    return [_survey_one((spec.a, tuple(spec.m))) for spec in specs]

@@ -150,6 +150,38 @@ def test_csm_identity_on_random_specs():
         assert dec.total_series() == spec.series(), (spec, var)
 
 
+def _rename(exponents, perm):
+    """Exponent vector with variable k renamed to variable perm[k]."""
+    out = [0] * len(perm)
+    for k, target in enumerate(perm):
+        out[target] = exponents[k]
+    return out
+
+
+def test_csm_decomposition_commutes_with_relabeling():
+    # survey rows are shared across a relabeling class, so the symmetric
+    # scaffolding must decompose a renamed spec into the renamed pieces
+    rng = seeded(61)
+    grid = symmetric_grid([2, 3, 4], 8)
+    for spec in rng.sample(grid, 300):
+        perm = list(range(spec.n))
+        rng.shuffle(perm)
+        renamed = MaciSpec(_rename(spec.a, perm), _rename(spec.m, perm))
+        assert renamed.relabeling_class() == spec.relabeling_class()
+        dec = csm_decomposition(spec)
+        moved = csm_decomposition(renamed)
+        assert moved.variable == perm[dec.variable], (spec, perm)
+        rest = [k for k in range(spec.n) if k != dec.variable]
+        moved_rest = [k for k in range(spec.n) if k != moved.variable]
+        inner = [moved_rest.index(perm[k]) for k in rest]
+        assert len(moved.pieces) == len(dec.pieces)
+        for piece, moved_piece in zip(dec.pieces, moved.pieces):
+            gens = [_rename(g, inner) for g in piece.ideal.generators]
+            assert moved_piece.ideal == MonomialIdeal(piece.ideal.n, gens), (spec, perm)
+            assert moved_piece.shift == piece.shift
+            assert moved_piece.multiplier == piece.multiplier
+
+
 def test_csm_rejects_bad_variable():
     with pytest.raises(ValueError):
         csm_decomposition(MaciSpec((2, 2), (1, 1)), var=5)

@@ -7,7 +7,13 @@ import time
 import pytest
 
 from lefschetz.cli import main, survey_rows
-from lefschetz.classify import HypothesisViolation, support_two_grid
+from lefschetz.classify import (
+    HypothesisViolation,
+    all_maci_grid,
+    support_two_grid,
+    symmetric_grid,
+)
+from _util import survey_rows_per_spec
 
 TOGLIATTI = "x1^3, x2^3, x3^3, x1*x2*x3"
 GOLDEN = "x1^2, x2^3, x3^4, x4^5, x1*x2*x3*x4"
@@ -209,7 +215,7 @@ def test_survey_writes_csv_and_json_identically(tmp_path, capsys):
     json_path = tmp_path / "rows.json"
     code, out, _ = run(capsys, "survey", grid, "--out", str(csv_path))
     assert code == 0
-    assert "disagreements: 0" in out
+    assert out == f"wrote 9 rows (6 relabeling classes) to {csv_path}; disagreements: 0\n"
     code, _, _ = run(capsys, "survey", grid, "--out", str(json_path), "--format", "json")
     assert code == 0
 
@@ -290,7 +296,8 @@ def _strip(rows):
 
 
 def test_survey_rows_shape_and_parallel_consistency():
-    # 36 specs, more than one 16-spec chunk, so two jobs start a real pool
+    # 36 specs in 21 relabeling classes, more than one 16-class chunk, so
+    # two jobs start a real pool
     grid = support_two_grid([2], 4)
     serial = survey_rows(grid, jobs=1)
     assert all(row.agreement is True for row in serial)
@@ -322,7 +329,7 @@ def test_survey_rows_caps_the_worker_count(monkeypatch):
             return map(fn, keys)
 
     monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", FakePool)
-    grid = support_two_grid([2], 4)  # 36 specs: three 16-spec chunks
+    grid = symmetric_grid([2, 3], 5)  # 176 specs in 38 classes: three 16-class chunks
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     rows = survey_rows(grid, jobs=1000)
     assert started == [3, ("chunksize", 16)]
@@ -335,9 +342,58 @@ def test_survey_rows_caps_the_worker_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     survey_rows(grid, jobs=1000)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    survey_rows(support_two_grid([2], 3), jobs=8)  # 9 specs: one chunk
+    survey_rows(support_two_grid([2], 3), jobs=8)  # 9 specs in 6 classes: one chunk
     assert survey_rows([], jobs=8) == []
     assert started == []
+    # the cap counts classes, not labeled specs: 36 specs in 21 classes
+    survey_rows(support_two_grid([2], 4), jobs=1000)
+    assert started == [2, ("chunksize", 16)]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        support_two_grid([2, 3], 3),  # 36 specs in 24 classes
+        symmetric_grid([2, 3], 6),  # 332 specs in 70 classes
+        list(all_maci_grid([2, 3], 3)),  # 117 specs in 34 classes
+    ],
+    ids=["support_two", "symmetric", "all_maci"],
+)
+def test_survey_rows_per_class_match_the_per_spec_sweep(grid):
+    reference = survey_rows_per_spec(grid)
+    first_of_class = {}
+    for index, spec in enumerate(grid):
+        first_of_class.setdefault(spec.relabeling_class(), index)
+    for jobs in (1, 2):
+        rows = survey_rows(grid, jobs=jobs)
+        assert _strip(rows) == _strip(reference)
+        for index, (spec, row) in enumerate(zip(grid, rows)):
+            if first_of_class[spec.relabeling_class()] == index:
+                assert row.ms > 0.0
+            else:
+                assert row.ms == 0.0
+    assert sum(1 for row in rows if row.ms > 0.0) == len(first_of_class) < len(grid)
+
+
+def test_survey_rows_accept_any_iterable_of_specs():
+    grid = support_two_grid([2], 3)
+    assert _strip(survey_rows(iter(grid))) == _strip(survey_rows(grid))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hilbert", "x1^30000, x2^30000"),
+        ("classify", '{"a":[3000,6000,9000],"m":[1,3000,3000]}'),
+    ],
+)
+def test_series_over_the_work_budget_is_refused(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -234,6 +234,19 @@ def test_ci_series():
     assert ci_series([4]).coeffs == (1, 1, 1, 1)
     with pytest.raises(ValueError):
         ci_series([0])
+    with pytest.raises(ValueError):
+        ci_series([3, 0, 2])
+    assert ci_series((4, 2, 3)) == ci_series([2, 3, 4]) == ci_series([3, 4, 2])
+    assert ci_series([]) == HilbertSeries([1])
+
+
+def test_ci_series_refuses_a_product_over_the_work_budget():
+    # cost = coefficient count (sum(a) - n + 1) times max(a)
+    assert ci_series([500, 500]).coeffs[499] == 500  # 999 * 500 entries
+    with pytest.raises(ValueError, match="budget"):
+        ci_series([30000, 30000])
+    with pytest.raises(ValueError, match="budget"):
+        ci_series([1001, 1001])  # 2001 * 1001 entries
 
 
 def test_socle_degree_examples():
