@@ -6,7 +6,6 @@ from .analysis import (
     coincides,
     is_almost_centered,
     is_symmetric,
-    is_unimodal,
     reflecting_degree,
     two_var_profile,
 )
@@ -33,10 +32,8 @@ from .core import (
     minimalize,
     parse_ideal,
     pure_power,
-    render_ideal,
     render_monomial,
     standard_monomial_table,
-    standard_monomials,
 )
 from .oracle import (
     HypothesisViolation,
@@ -52,7 +49,6 @@ from .series import (
     MaciSpec,
     ci_series,
     hilbert_series,
-    hilbert_series_by_counting,
     maci_from_ideal,
 )
 

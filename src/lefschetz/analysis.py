@@ -52,18 +52,6 @@ def coincides(r1, r2) -> bool:
     return abs(r1.twice - r2.twice) <= 1
 
 
-def is_unimodal(hs) -> bool:
-    if hs.is_zero():
-        return True
-    c = hs.coeffs
-    k = 1
-    while k < len(c) and c[k] >= c[k - 1]:
-        k += 1
-    while k < len(c) and c[k] <= c[k - 1]:
-        k += 1
-    return k == len(c)
-
-
 def is_almost_centered(hs) -> bool:
     """Definitional check: one of the two interleaved inequality chains holds.
 

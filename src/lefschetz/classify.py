@@ -7,7 +7,9 @@ series (always strong Lefschetz).  The symmetric case is not returned as a
 bare constant: the central-simple-module decomposition underlying it is
 rebuilt and every one of its numeric proof obligations is re-checked, so a
 bug or a genuine counterexample surfaces as a loud error instead of a quiet
-wrong answer.
+wrong answer.  The pieces of that decomposition are exponent data (a
+MaciSpec or complete-intersection exponents) whose series come from closed
+forms, so no monomial ideal is built on the classification path.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations, product
+from math import comb
 
 from .analysis import coincides, is_symmetric, reflecting_degree, two_var_profile
-from .core import Monomial, MonomialIdeal, pure_power
+from .core import MAX_TABLE_ENTRIES, MAX_VAR_INDEX, MonomialIdeal, check_table_size, pure_power
 from .oracle import HypothesisViolation
-from .series import HilbertSeries, MaciSpec, hilbert_series, maci_from_ideal
+from .series import HilbertSeries, MaciSpec, ci_series
 
 RULE_N_EQ_2 = "n_eq_2"
 RULE_N3_CUBE_LE_2 = "n3_cube_le_2"
@@ -115,22 +118,29 @@ def is_symmetric_maci(spec) -> bool:
     return symmetric_witness(spec) is not None
 
 
-def _ci_ideal(exponents) -> MonomialIdeal:
-    n = len(exponents)
-    return MonomialIdeal(n, [pure_power(n, i, e) for i, e in enumerate(exponents)])
-
-
 @dataclass(frozen=True)
 class CsmPiece:
-    """A central simple module slice, presented as a quotient in n-1 variables."""
+    """A central simple module slice: a quotient in n-1 variables held as
+    exponent data, a MaciSpec or complete-intersection exponents, whose
+    series is the matching closed form.  The ideal is built only for display.
+    """
 
-    ideal: MonomialIdeal
+    quotient: object  # MaciSpec, or a tuple of complete-intersection exponents
     shift: int
     multiplier: int
 
     @cached_property
     def series(self) -> HilbertSeries:
-        return hilbert_series(self.ideal)
+        if isinstance(self.quotient, MaciSpec):
+            return self.quotient.series()
+        return ci_series(self.quotient)
+
+    @property
+    def ideal(self) -> MonomialIdeal:
+        if isinstance(self.quotient, MaciSpec):
+            return self.quotient.ideal()
+        n = len(self.quotient)
+        return MonomialIdeal(n, [pure_power(n, i, e) for i, e in enumerate(self.quotient)])
 
     def widened_series(self) -> HilbertSeries:
         """Series of the piece tensored with k[t]/(t^multiplier), shifted."""
@@ -138,9 +148,10 @@ class CsmPiece:
         return self.series.shifted(self.shift) * width
 
     def as_dict(self):
+        ideal = self.ideal
         return {
-            "generators": [list(g) for g in self.ideal.sorted_generators()],
-            "n": self.ideal.n,
+            "generators": [list(g) for g in ideal.sorted_generators()],
+            "n": ideal.n,
             "shift": self.shift,
             "multiplier": self.multiplier,
             "widened_series": self.widened_series().as_dict(),
@@ -153,10 +164,7 @@ class CsmDecomposition:
     pieces: tuple
 
     def total_series(self) -> HilbertSeries:
-        total = HilbertSeries(())
-        for piece in self.pieces:
-            total = total + piece.widened_series()
-        return total
+        return sum((piece.widened_series() for piece in self.pieces), HilbertSeries(()))
 
     def as_dict(self):
         return {
@@ -171,15 +179,17 @@ def csm_decomposition(spec, var=None) -> CsmDecomposition:
     Writing p for the extra exponents: when p_var >= 1 there are two pieces,
 
       * the (n-1)-variable quotient with the extra generator truncated at
-        var, with multiplier a_var and no shift; if the truncation leaves a
-        single-variable power it merges with the matching pure power and the
-        piece degenerates to a complete intersection;
+        var, with multiplier a_var and no shift: MaciSpec(a_rest, trunc)
+        while the truncation keeps at least two variables; a truncation
+        down to a single-variable power merges with the matching pure power
+        and the piece degenerates to a complete intersection;
       * the complete intersection on the slack exponents a_k - p_k, with
         multiplier p_var, shifted by the sum of the dropped p_k.
 
     When p_var = 0 the quotient is a tensor product and the first piece
-    stands alone.  The widened series always sum to the series of the
-    quotient; slp_symmetric re-checks that identity at runtime.
+    stands alone.  Pieces are exponent data (CsmPiece), so their series
+    come from closed forms.  The widened series always sum to the series of
+    the quotient; slp_symmetric re-checks that identity at runtime.
 
     The default variable is the support variable with the largest pure power
     exponent.  For symmetric quotients that is the last entry of the witness
@@ -191,46 +201,37 @@ def csm_decomposition(spec, var=None) -> CsmDecomposition:
     if not 0 <= var < spec.n:
         raise ValueError("variable index out of range")
     rest = [k for k in range(spec.n) if k != var]
-    trunc = [spec.m[k] for k in rest]
-    a_rest = [spec.a[k] for k in rest]
-    n1 = len(rest)
+    trunc = tuple(spec.m[k] for k in rest)
+    a_rest = tuple(spec.a[k] for k in rest)
     if sum(1 for e in trunc if e) >= 2:
-        gens = [pure_power(n1, k, a_rest[k]) for k in range(n1)]
-        gens.append(Monomial(trunc))
-        head = MonomialIdeal(n1, gens)
+        head = MaciSpec(a_rest, trunc)
     else:
-        merged = [trunc[k] if trunc[k] else a_rest[k] for k in range(n1)]
-        head = _ci_ideal(merged)
+        head = tuple(p if p else a for a, p in zip(a_rest, trunc))
     pieces = [CsmPiece(head, 0, spec.a[var])]
     if spec.m[var] >= 1:
-        slack = [a - p for a, p in zip(a_rest, trunc)]
-        pieces.append(CsmPiece(_ci_ideal(slack), sum(trunc), spec.m[var]))
+        slack = tuple(a - p for a, p in zip(a_rest, trunc))
+        pieces.append(CsmPiece(slack, sum(trunc), spec.m[var]))
     return CsmDecomposition(var, tuple(pieces))
 
 
-def _try_maci(ideal):
-    try:
-        return maci_from_ideal(ideal)
-    except ValueError:
-        return None
-
-
-def _check_symmetric_decomposition(spec):
-    series = spec.series()
+def _check_symmetric_decomposition(spec, series, var=None):
+    """Re-check the proof obligations of the decomposition of spec, whose
+    Hilbert series is series, and recurse into the head piece."""
     if not is_symmetric(series):
         raise HypothesisViolation(f"series {series.coeffs} is not a palindrome for {spec}")
     ambient = reflecting_degree(series)
-    dec = csm_decomposition(spec)
-    if dec.total_series() != series:
+    dec = csm_decomposition(spec, var)
+    widened = [piece.widened_series() for piece in dec.pieces]
+    if sum(widened[1:], widened[0]) != series:
         raise HypothesisViolation(f"widened piece series do not sum to the quotient series for {spec}")
-    for piece in dec.pieces:
+    for piece, wide in zip(dec.pieces, widened):
         if not is_symmetric(piece.series):
             raise HypothesisViolation(f"piece {piece.ideal} has a non-symmetric series for {spec}")
-        if not coincides(reflecting_degree(piece.widened_series()), ambient):
+        if not coincides(reflecting_degree(wide), ambient):
             raise HypothesisViolation(f"widened reflecting degree of {piece.ideal} misses that of {spec}")
-    head = _try_maci(dec.pieces[0].ideal)
-    if head is not None and head.n >= 3:
-        _check_symmetric_decomposition(head)
+    head = dec.pieces[0]
+    if isinstance(head.quotient, MaciSpec) and head.quotient.n >= 3:
+        _check_symmetric_decomposition(head.quotient, head.series)
     # complete intersection pieces and two-variable quotients are the base
     # cases; both are classically strong Lefschetz
 
@@ -245,23 +246,28 @@ def slp_symmetric(spec) -> bool:
     one, recursively down to complete intersections or two variables.  Any
     failed check raises HypothesisViolation.
     """
-    if not is_symmetric_maci(spec):
+    witness = symmetric_witness(spec)
+    if witness is None:
         raise ValueError("the Hilbert series of this spec is not symmetric")
-    _check_symmetric_decomposition(spec)
+    _check_symmetric_decomposition(spec, spec.series(), witness[-1])
     return True
 
 
 def classify_maci(spec):
-    """Dispatch to whichever classification rule covers the input, or None."""
+    """Dispatch to whichever classification rule covers the input, or None.
+
+    A symmetric spec is certified as slp_symmetric does it, decomposing at
+    the top of its witness ordering.
+    """
     if len(spec.m.support) == 2:
         return classify_support_two(spec)
-    if is_symmetric_maci(spec):
-        slp_symmetric(spec)
-        witness = symmetric_witness(spec)
-        return ClassificationVerdict(
-            True, RULE_SYMMETRIC_HS, {"witness_order": [k + 1 for k in witness]}
-        )
-    return None
+    witness = symmetric_witness(spec)
+    if witness is None:
+        return None
+    _check_symmetric_decomposition(spec, spec.series(), witness[-1])
+    return ClassificationVerdict(
+        True, RULE_SYMMETRIC_HS, {"witness_order": [k + 1 for k in witness]}
+    )
 
 
 def support_two_grid(n_values, max_exp, extra_exp=None):
@@ -372,9 +378,11 @@ def grid_from_json(obj):
     {"n": [2, 4], "max_exp": 6, "family": "support_two"}.
 
     "n" is one variable count >= 2 or a range [lo, hi] with 2 <= lo <= hi
-    (default [2, 4]).  Optional keys: "extra_exp" pins non-support exponents
-    (support_two), "max_socle" bounds the socle degree (symmetric).  Values
-    must be plain integers; an unknown key, family or value is a ValueError.
+    (default [2, 4]), at most MAX_VAR_INDEX.  Optional keys: "extra_exp" pins
+    non-support exponents (support_two), "max_socle" bounds the socle degree
+    (symmetric).  Values must be plain integers; an unknown key, family or
+    value is a ValueError, and so is a grid whose size bound exceeds the
+    work budget (MAX_TABLE_ENTRIES), before it is enumerated.
     """
     if not isinstance(obj, dict):
         raise ValueError("a grid must be a JSON object")
@@ -394,14 +402,47 @@ def grid_from_json(obj):
         isinstance(lo_hi, list)
         and len(lo_hi) == 2
         and all(type(v) is int for v in lo_hi)
-        and 2 <= lo_hi[0] <= lo_hi[1]
+        and 2 <= lo_hi[0] <= lo_hi[1] <= MAX_VAR_INDEX
     ):
         raise ValueError(
-            f"grid key 'n' must be an integer >= 2 or [lo, hi] with 2 <= lo <= hi, got {n_spec!r}"
+            f"grid key 'n' must be an integer in [2, {MAX_VAR_INDEX}] or [lo, hi] "
+            f"with 2 <= lo <= hi <= {MAX_VAR_INDEX}, got {n_spec!r}"
         )
     ns = range(lo_hi[0], lo_hi[1] + 1)
+    max_exp = obj.get("max_exp", {"support_two": 6, "all_maci": 4}.get(family))
+    max_socle, extra_exp = obj.get("max_socle", 14), obj.get("extra_exp")
+    check_table_size((_grid_size_bound(family, ns, max_exp, max_socle, extra_exp),))
     if family == "support_two":
-        return support_two_grid(ns, obj.get("max_exp", 6), obj.get("extra_exp"))
+        return support_two_grid(ns, max_exp, extra_exp)
     if family == "symmetric":
-        return symmetric_grid(ns, obj.get("max_socle", 14), obj.get("max_exp"))
-    return list(all_maci_grid(ns, obj.get("max_exp", 4)))
+        return symmetric_grid(ns, max_socle, max_exp)
+    return list(all_maci_grid(ns, max_exp))
+
+
+def _grid_size_bound(family, ns, max_exp, max_socle, extra_exp):
+    """Upper bound on the exponents a grid holds, n per spec in n variables,
+    from its keys alone; the sum stops once it passes the work budget.
+
+    all_maci counts every 0 <= m_i < a_i <= max_exp; support_two is exact.
+    A symmetric spec is fixed by its lowest support variable s1, the rest S
+    of its support, a_s1 and x = (m_s1 - 1, a_i - 1 for i != s1), which sums
+    to its socle degree, at most D.  As m_s1 < a_s1 < a_j for j in S, a_s1
+    has under x_j choices, and x_j - 1 summed over all x of sum at most D is
+    comb(D - 1 + n, n + 1); with every a_i <= cap instead, there are
+    cap (cap - 1) / 2 pairs (a_s1, m_s1) and cap^(n-1) other a_i.
+    """
+    size = 0
+    for n in ns:
+        if family == "all_maci":
+            specs = (max_exp * (max_exp + 1) // 2) ** n
+        elif family == "support_two":
+            free = max_exp if extra_exp is None else 1
+            specs = (max_exp * (max_exp - 1) // 2) ** 2 * free ** (n - 2)
+        else:
+            cap = max_exp if max_exp is not None else max_socle + 2
+            choices = min(comb(max_socle - 1 + n, n + 1), cap * (cap - 1) // 2 * cap ** (n - 1))
+            specs = n * (2 ** (n - 1) - 1) * choices
+        size += n * specs
+        if size > MAX_TABLE_ENTRIES:
+            break
+    return size

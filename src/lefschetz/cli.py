@@ -18,7 +18,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .analysis import is_almost_centered, is_symmetric
 from .classify import classify_maci, csm_decomposition, grid_from_json
@@ -151,11 +151,13 @@ def write_survey_csv(rows, fh):
     writer = csv.writer(fh)
     writer.writerow(SURVEY_COLUMNS)
     for row in rows:
-        writer.writerow([_csv_cell(value) for value in astuple(row)])
+        writer.writerow([_csv_cell(getattr(row, name)) for name in SURVEY_COLUMNS])
 
 
 def write_survey_json(rows, fh):
-    json.dump([asdict(row) for row in rows], fh, indent=1)
+    # getattr over the columns: dataclasses.asdict would deep-copy every field
+    records = [{name: getattr(row, name) for name in SURVEY_COLUMNS} for row in rows]
+    json.dump(records, fh, indent=1)
     fh.write("\n")
 
 

@@ -9,7 +9,7 @@ are reproducible.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from math import prod
 
 MAX_EXPONENT = 2**63 - 1  # exponents stay machine-width; coefficients do not
@@ -43,7 +43,7 @@ class Monomial(tuple):
 
     @property
     def support(self) -> tuple:
-        return tuple(i for i, e in enumerate(self) if e > 0)
+        return tuple(compress(range(len(self)), self))
 
     def is_unit(self) -> bool:
         return not any(self)
@@ -144,14 +144,6 @@ class MonomialIdeal:
         pure power among the generators (or the ideal is the unit ideal).
         """
         return self.is_unit() or None not in self._bounds
-
-    def contains(self, m) -> bool:
-        return any(g.divides(m) for g in self.generators)
-
-    def plus_monomial(self, m) -> "MonomialIdeal":
-        """The ideal I + (m)."""
-        m = m if isinstance(m, Monomial) else Monomial(m)
-        return MonomialIdeal(self.n, list(self.generators) + [m])
 
 
 def colon_by_monomial(ideal, m) -> MonomialIdeal:
@@ -258,22 +250,13 @@ def render_monomial(m) -> str:
     )
 
 
-def render_ideal(ideal) -> str:
-    """Inverse of parse_ideal on nonzero, non-unit ideals."""
-    if ideal.is_zero():
-        raise ValueError("the zero ideal has no text form")
-    if ideal.is_unit():
-        raise ValueError("the unit ideal has no text form")
-    return ", ".join(render_monomial(g) for g in ideal.sorted_generators())
-
-
 def check_table_size(sizes):
     """Raise ValueError when a table of prod(sizes) entries exceeds the budget."""
     entries = prod(sizes)
     if entries > MAX_TABLE_ENTRIES:
-        raise ValueError(
-            f"a table of {entries} entries exceeds the budget of {MAX_TABLE_ENTRIES}"
-        )
+        # a count too long to print in decimal is named by its bit length
+        shown = entries if entries < 2**64 else f"over 2^{entries.bit_length() - 1}"
+        raise ValueError(f"a table of {shown} entries exceeds the budget of {MAX_TABLE_ENTRIES}")
 
 
 @lru_cache(maxsize=256)
@@ -301,11 +284,3 @@ def standard_monomial_table(ideal):
     while buckets and not buckets[-1]:
         buckets.pop()
     return tuple(tuple(b) for b in buckets)
-
-
-def standard_monomials(ideal, degree):
-    """Degree-d monomial basis of R/I (graded lex order, x1 largest)."""
-    table = standard_monomial_table(ideal)
-    if degree < 0 or degree >= len(table):
-        return []
-    return list(table[degree])

@@ -3,9 +3,8 @@
 A series is a dense vector of nonnegative integer coefficients together with
 a degree offset; the offset stays 0 for honest quotient algebras and records
 the grading shift of submodule slices.  Complete intersections get the closed
-product form, one extra generator is split off by ideal-quotient additivity,
-and a degree-by-degree counting route is kept alongside as an independent
-cross-check.
+product form, and one extra generator is split off by ideal-quotient
+additivity.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .core import (
     check_table_size,
     colon_by_monomial,
     pure_power,
-    standard_monomial_table,
 )
 
 
@@ -83,19 +81,33 @@ class HilbertSeries:
     def __hash__(self):
         return hash((self.offset, self.coeffs))
 
+    @classmethod
+    def _trusted(cls, coeffs, offset):
+        """Series from a coefficient tuple already trimmed and nonnegative, as
+        sums, products and shifts of such series are; skips the checks."""
+        series = object.__new__(cls)
+        series.coeffs = coeffs
+        series.offset = offset
+        return series
+
     def shifted(self, k) -> "HilbertSeries":
         if self.is_zero():
             return self
-        return HilbertSeries(self.coeffs, self.offset + k)
+        return HilbertSeries._trusted(self.coeffs, self.offset + k)
 
     def __add__(self, other):
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.socle_degree, other.socle_degree)
-        return HilbertSeries([self[d] + other[d] for d in range(lo, hi + 1)], lo)
+        if other.offset < self.offset:
+            self, other = other, self
+        out = list(self.coeffs)
+        start = other.offset - self.offset
+        out.extend([0] * (start + len(other.coeffs) - len(out)))
+        for k, c in enumerate(other.coeffs, start):
+            out[k] += c
+        return HilbertSeries._trusted(tuple(out), self.offset)
 
     def __sub__(self, other):
         """Coefficientwise difference; raises if any coefficient goes negative."""
@@ -116,7 +128,7 @@ class HilbertSeries:
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return HilbertSeries(out, self.offset + other.offset)
+        return HilbertSeries._trusted(tuple(out), self.offset + other.offset)
 
     def to_text(self) -> str:
         """Render like ``1 + 3t + 6t^2``."""
@@ -191,16 +203,6 @@ def hilbert_series(ideal) -> HilbertSeries:
     return hilbert_series(rest) - hilbert_series(quot).shifted(m.degree)
 
 
-def hilbert_series_by_counting(ideal) -> HilbertSeries:
-    """The same series obtained by counting standard monomials per degree.
-
-    This is the independent enumeration route; it must agree with
-    hilbert_series everywhere and is kept for cross-checking.
-    """
-    table = standard_monomial_table(ideal)
-    return HilbertSeries([len(bucket) for bucket in table])
-
-
 class MaciSpec:
     """Pure powers a_1..a_n plus one extra monomial generator m.
 
@@ -272,15 +274,6 @@ class MaciSpec:
         """
         slack = min(self.a[i] - self.m[i] for i in self.m.support)
         return sum(self.a) - self.n - slack
-
-    def total_dimension(self) -> int:
-        """dim_k R/I = prod a_i - prod (a_i - m_i), by inclusion-exclusion."""
-        box = 1
-        inner = 1
-        for ai, mi in zip(self.a, self.m):
-            box *= ai
-            inner *= ai - mi
-        return box - inner
 
     def as_dict(self):
         return {"n": self.n, "a": list(self.a), "m": list(self.m)}

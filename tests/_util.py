@@ -16,6 +16,7 @@ from lefschetz import (
     hilbert_series,
     is_symmetric,
     matrix_rank,
+    render_monomial,
     standard_monomial_table,
 )
 from lefschetz.cli import _survey_one, survey_rows
@@ -28,6 +29,61 @@ from lefschetz.oracle import (
     _rank_mod_prime,
     _reason_for,
 )
+
+
+def standard_monomials(ideal, degree):
+    """Degree-d monomial basis of R/I (graded lex order, x1 largest)."""
+    table = standard_monomial_table(ideal)
+    if degree < 0 or degree >= len(table):
+        return []
+    return list(table[degree])
+
+
+def hilbert_series_by_counting(ideal):
+    """The Hilbert series by counting standard monomials per degree: the
+    enumeration route, independent of the closed forms and the colon
+    recursion of hilbert_series."""
+    return HilbertSeries([len(bucket) for bucket in standard_monomial_table(ideal)])
+
+
+def render_ideal(ideal):
+    """Inverse of parse_ideal on nonzero, non-unit ideals."""
+    if ideal.is_zero():
+        raise ValueError("the zero ideal has no text form")
+    if ideal.is_unit():
+        raise ValueError("the unit ideal has no text form")
+    return ", ".join(render_monomial(g) for g in ideal.sorted_generators())
+
+
+def plus_monomial(ideal, m):
+    """The ideal I + (m)."""
+    return MonomialIdeal(ideal.n, list(ideal.generators) + [Monomial(m)])
+
+
+def contains(ideal, m):
+    return any(g.divides(m) for g in ideal.generators)
+
+
+def total_dimension(spec):
+    """dim_k R/I = prod a_i - prod (a_i - m_i), by inclusion-exclusion."""
+    box = 1
+    inner = 1
+    for ai, mi in zip(spec.a, spec.m):
+        box *= ai
+        inner *= ai - mi
+    return box - inner
+
+
+def is_unimodal(hs):
+    if hs.is_zero():
+        return True
+    c = hs.coeffs
+    k = 1
+    while k < len(c) and c[k] >= c[k - 1]:
+        k += 1
+    while k < len(c) and c[k] <= c[k - 1]:
+        k += 1
+    return k == len(c)
 
 
 def rand_monomial(rng, n, max_exp):

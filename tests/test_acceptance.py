@@ -19,12 +19,10 @@ from lefschetz import (
     is_almost_centered,
     is_symmetric,
     is_symmetric_maci,
-    is_unimodal,
     lefschetz_report,
     matrix_rank,
     minimalize,
     parse_ideal,
-    render_ideal,
     slp_symmetric,
     support_two_grid,
     symmetric_grid,
@@ -34,9 +32,12 @@ from lefschetz import (
 from lefschetz.classify import all_maci_grid
 from lefschetz.cli import main
 from _util import (
+    is_unimodal,
+    plus_monomial,
     rand_artinian_ideal,
     rand_monomial,
     rand_series,
+    render_ideal,
     seeded,
     survey_disagreements,
     symmetric_product_check,
@@ -229,7 +230,7 @@ def test_c9_property_suites_ten_thousand_each():
         base = rand_artinian_ideal(rng, n, max_bound=4, extra=2)
         m = rand_monomial(rng, n, 4)
         lhs = hilbert_series(base)
-        rhs = hilbert_series(base.plus_monomial(m)) + hilbert_series(
+        rhs = hilbert_series(plus_monomial(base, m)) + hilbert_series(
             colon_by_monomial(base, m)
         ).shifted(m.degree)
         assert lhs == rhs, (base, m)

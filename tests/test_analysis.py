@@ -9,13 +9,13 @@ from lefschetz import (
     hilbert_series,
     is_almost_centered,
     is_symmetric,
-    is_unimodal,
     parse_ideal,
     reflecting_degree,
     two_var_profile,
 )
 from _util import (
     is_almost_centered_noncrossing,
+    is_unimodal,
     rand_series,
     seeded,
     symmetric_product_check,

@@ -22,7 +22,7 @@ from lefschetz import (
     symmetric_witness,
     two_var_profile,
 )
-from _util import rand_maci, seeded, survey_disagreements
+from _util import hilbert_series_by_counting, rand_maci, seeded, survey_disagreements
 
 
 def test_classify_example_pair():
@@ -182,6 +182,35 @@ def test_csm_decomposition_commutes_with_relabeling():
             assert moved_piece.multiplier == piece.multiplier
 
 
+def _pieces_recursively(spec):
+    for piece in csm_decomposition(spec).pieces:
+        yield piece
+        if isinstance(piece.quotient, MaciSpec):
+            yield from _pieces_recursively(piece.quotient)
+
+
+def test_piece_closed_forms_match_the_ideal_routes():
+    # piece series are closed forms on exponent data; the colon recursion
+    # and the standard-monomial count on the displayed ideal must agree
+    rng = seeded(67)
+    grid = symmetric_grid([2, 3, 4], 8)
+    renamed = []
+    for spec in rng.sample(grid, 200):
+        perm = list(range(spec.n))
+        rng.shuffle(perm)
+        renamed.append(MaciSpec(_rename(spec.a, perm), _rename(spec.m, perm)))
+    checked = 0
+    for spec in grid + renamed:
+        for piece in _pieces_recursively(spec):
+            ideal = piece.ideal
+            assert piece.series == hilbert_series(ideal) == hilbert_series_by_counting(ideal), (
+                spec,
+                piece,
+            )
+            checked += 1
+    assert checked > 2 * len(grid)
+
+
 def test_csm_rejects_bad_variable():
     with pytest.raises(ValueError):
         csm_decomposition(MaciSpec((2, 2), (1, 1)), var=5)
@@ -285,6 +314,39 @@ def test_grid_from_json():
     assert all(s.a[2] == 2 for s in grid)
 
 
+def test_grid_size_bound_covers_the_grid():
+    from lefschetz.classify import _grid_size_bound
+
+    # the bound counts n exponents per spec; it is exact for support_two
+    # and admits the benchmark grids (the second is classify_grid's)
+    cases = [
+        ({"family": "symmetric", "n": [2, 4], "max_socle": 8}, 57_750),
+        ({"family": "symmetric", "n": [2, 4], "max_socle": 13}, 527_527),
+        ({"family": "symmetric", "n": 5, "max_socle": 6}, None),
+        ({"family": "symmetric", "n": [2, 3], "max_socle": 30, "max_exp": 5}, None),
+        ({"family": "symmetric", "n": [2, 6], "max_socle": 12, "max_exp": 3}, None),
+        ({"family": "symmetric", "n": 2, "max_socle": 40}, None),
+        ({"family": "support_two", "n": [2, 4], "max_exp": 4}, None),
+        ({"family": "support_two", "n": [2, 4], "max_exp": 3, "extra_exp": 2}, None),
+        ({"family": "all_maci", "n": [2, 3], "max_exp": 3}, None),
+    ]
+    for grid, bound in cases:
+        exponents = sum(spec.n for spec in grid_from_json(grid))
+        lo, hi = (grid["n"], grid["n"]) if type(grid["n"]) is int else grid["n"]
+        got = _grid_size_bound(
+            grid["family"],
+            range(lo, hi + 1),
+            grid.get("max_exp"),
+            grid.get("max_socle"),
+            grid.get("extra_exp"),
+        )
+        assert got >= exponents, grid
+        if grid["family"] == "support_two":
+            assert got == exponents, grid
+        if bound is not None:
+            assert got == bound, grid
+
+
 def test_hypothesis_violation_when_identity_is_broken(monkeypatch):
     import lefschetz.classify as classify_mod
 
@@ -294,7 +356,7 @@ def test_hypothesis_violation_when_identity_is_broken(monkeypatch):
     def broken(s, var=None):
         dec = real(s, var)
         tampered = classify_mod.CsmPiece(
-            dec.pieces[0].ideal, dec.pieces[0].shift + 1, dec.pieces[0].multiplier
+            dec.pieces[0].quotient, dec.pieces[0].shift + 1, dec.pieces[0].multiplier
         )
         return classify_mod.CsmDecomposition(dec.variable, (tampered,) + dec.pieces[1:])
 
@@ -304,24 +366,33 @@ def test_hypothesis_violation_when_identity_is_broken(monkeypatch):
 
 
 def test_slp_symmetric_computes_each_piece_series_once(monkeypatch):
+    # every series on the path is a closed form: the spec's own
+    # MaciSpec.series, then one MaciSpec.series or ci_series per piece,
+    # read once although the identity and the symmetry checks both use it
     import lefschetz.classify as classify_mod
 
     pieces = []
     calls = []
     real_decomposition = classify_mod.csm_decomposition
-    real_series = classify_mod.hilbert_series
+    real_maci_series = MaciSpec.series
+    real_ci_series = classify_mod.ci_series
 
     def recording(spec, var=None):
         dec = real_decomposition(spec, var)
         pieces.extend(dec.pieces)
         return dec
 
-    def counting(ideal):
-        calls.append(ideal)
-        return real_series(ideal)
+    def counting_maci(spec):
+        calls.append(spec)
+        return real_maci_series(spec)
+
+    def counting_ci(exponents):
+        calls.append(exponents)
+        return real_ci_series(exponents)
 
     monkeypatch.setattr(classify_mod, "csm_decomposition", recording)
-    monkeypatch.setattr(classify_mod, "hilbert_series", counting)
+    monkeypatch.setattr(MaciSpec, "series", counting_maci)
+    monkeypatch.setattr(classify_mod, "ci_series", counting_ci)
     for spec in (
         MaciSpec((2, 3, 4, 5), (1, 1, 1, 1)),
         MaciSpec((2, 5, 3), (1, 2, 1)),
@@ -331,4 +402,18 @@ def test_slp_symmetric_computes_each_piece_series_once(monkeypatch):
         calls.clear()
         assert slp_symmetric(spec)
         assert len(pieces) >= 2
-        assert calls == [piece.ideal for piece in pieces], spec
+        assert calls == [spec] + [piece.quotient for piece in pieces], spec
+
+
+def test_classify_maci_builds_no_monomial_ideal(monkeypatch):
+    # the rules and the symmetric scaffolding run on exponent data alone
+    import lefschetz.core as core_mod
+
+    grid = symmetric_grid([2, 3, 4], 6)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a MonomialIdeal was built")
+
+    monkeypatch.setattr(core_mod.MonomialIdeal, "__init__", refuse)
+    verdicts = [classify_maci(spec) for spec in grid]
+    assert {v.rule for v in verdicts} == {"n_eq_2", "n3_cube_le_2", "almost_centered", "symmetric_hs"}

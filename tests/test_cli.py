@@ -426,6 +426,7 @@ def test_unknown_grid_family_exits_one(tmp_path, capsys):
         {"family": "all_maci", "n": [2, True], "max_exp": 3},
         {"family": "support_two", "n": 2, "max_exp": 3.0},
         {"family": "support_two", "n": 2, "extra_exp": 0},
+        {"family": "support_two", "n": [2, 10**12], "max_exp": 2, "extra_exp": 1},
         {"family": ["symmetric"]},
         [{"family": "symmetric"}],
     ],
@@ -437,3 +438,95 @@ def test_survey_rejects_bad_grid(tmp_path, capsys, grid):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"family": "all_maci", "n": [2, 12], "max_exp": 4},
+        # one spec per n, but 5 * 10^7 exponents in all
+        {"family": "support_two", "n": [2, 10_000], "max_exp": 2, "extra_exp": 1},
+        {"family": "symmetric", "n": 2, "max_socle": 998},
+        {"family": "symmetric", "n": [2, 10_000], "max_socle": 3},
+        {"family": "all_maci", "n": 10_000, "max_exp": 10**18},
+    ],
+)
+def test_survey_refuses_a_grid_over_the_work_budget(tmp_path, capsys, grid):
+    # each grid would be enumerated, spec by spec, without the budget
+    out_path = tmp_path / "big.csv"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--jobs", "1", "survey", json.dumps(grid), "--out", str(out_path))
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+# `lefschetz csm` output, text and --json, recorded before the pieces became
+# exponent data; the JSON is compared byte for byte through json.dumps
+CSM_GOLDEN = [
+    (
+        ("x1^2, x2^3, x3^4, x4^5, x1*x2*x3*x4",),
+        "linear form: x4\n"
+        "piece 1: (x1^2, x1*x2*x3, x2^3, x3^4) in 3 variables, shift 0, multiplier 5\n"
+        "piece 2: (x1, x2^2, x3^3) in 3 variables, shift 3, multiplier 1\n"
+        "series identity: ok (1 + 4t + 9t^2 + 15t^3 + 19t^4 + 19t^5 + 15t^6 + 9t^7 + 4t^8 + t^9)\n",
+        {"variable": 4, "pieces": [
+            {"generators": [[2, 0, 0], [1, 1, 1], [0, 3, 0], [0, 0, 4]], "n": 3, "shift": 0,
+             "multiplier": 5,
+             "widened_series": {"offset": 0, "coeffs": [1, 4, 9, 14, 17, 17, 14, 9, 4, 1]}},
+            {"generators": [[1, 0, 0], [0, 2, 0], [0, 0, 3]], "n": 3, "shift": 3, "multiplier": 1,
+             "widened_series": {"offset": 3, "coeffs": [1, 2, 2, 1]}},
+        ], "series_identity": True},
+    ),
+    (
+        # p_var = 0: a tensor factor, one piece
+        ("--var", "3", '{"a": [2, 3, 7], "m": [1, 1, 0]}'),
+        "linear form: x3\n"
+        "piece 1: (x1^2, x1*x2, x2^3) in 2 variables, shift 0, multiplier 7\n"
+        "series identity: ok (1 + 3t + 4t^2 + 4t^3 + 4t^4 + 4t^5 + 4t^6 + 3t^7 + t^8)\n",
+        {"variable": 3, "pieces": [
+            {"generators": [[2, 0], [1, 1], [0, 3]], "n": 2, "shift": 0, "multiplier": 7,
+             "widened_series": {"offset": 0, "coeffs": [1, 3, 4, 4, 4, 4, 4, 3, 1]}},
+        ], "series_identity": True},
+    ),
+    (
+        # two variables: both pieces are one-variable complete intersections
+        ("x1^3, x2^3, x1*x2",),
+        "linear form: x2\n"
+        "piece 1: (x1) in 1 variables, shift 0, multiplier 3\n"
+        "piece 2: (x1^2) in 1 variables, shift 1, multiplier 1\n"
+        "series identity: ok (1 + 2t + 2t^2)\n",
+        {"variable": 2, "pieces": [
+            {"generators": [[1]], "n": 1, "shift": 0, "multiplier": 3,
+             "widened_series": {"offset": 0, "coeffs": [1, 1, 1]}},
+            {"generators": [[2]], "n": 1, "shift": 1, "multiplier": 1,
+             "widened_series": {"offset": 1, "coeffs": [1, 1]}},
+        ], "series_identity": True},
+    ),
+    (
+        # the truncated generator x1 merges with x1^2: a complete intersection head
+        ("x1^2, x2^3, x3^5, x1*x3^2",),
+        "linear form: x3\n"
+        "piece 1: (x1, x2^3) in 2 variables, shift 0, multiplier 5\n"
+        "piece 2: (x1, x2^3) in 2 variables, shift 1, multiplier 2\n"
+        "series identity: ok (1 + 3t + 5t^2 + 5t^3 + 4t^4 + 2t^5 + t^6)\n",
+        {"variable": 3, "pieces": [
+            {"generators": [[1, 0], [0, 3]], "n": 2, "shift": 0, "multiplier": 5,
+             "widened_series": {"offset": 0, "coeffs": [1, 2, 3, 3, 3, 2, 1]}},
+            {"generators": [[1, 0], [0, 3]], "n": 2, "shift": 1, "multiplier": 2,
+             "widened_series": {"offset": 1, "coeffs": [1, 2, 2, 1]}},
+        ], "series_identity": True},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text, payload", CSM_GOLDEN)
+def test_csm_output_is_unchanged(capsys, argv, text, payload):
+    code, out, _ = run(capsys, "csm", *argv)
+    assert code == 0
+    assert out == text
+    code, out, _ = run(capsys, "--json", "csm", *argv)
+    assert code == 0
+    assert out == json.dumps(payload, indent=1) + "\n"
