@@ -42,7 +42,6 @@ from .oracle import (
     lefschetz_report,
     matrix_rank,
     multiplication_matrix,
-    tensor_map_full_rank,
 )
 from .series import (
     HilbertSeries,

@@ -11,22 +11,11 @@ from dataclasses import dataclass
 
 from .series import HilbertSeries
 
-SHAPE_ALL_ON_TOP = "all_on_top"
-SHAPE_ALL_ON_RIGHT = "all_on_right"
-SHAPE_SLANT_1 = "slant_1"
-SHAPE_SLANT_2 = "slant_2"
-SHAPE_SLANT_3 = "slant_3"
-
-
 @dataclass(frozen=True)
 class ReflectingDegree:
     """Center (p+q)/2 of a symmetric series, stored doubled to stay integral."""
 
     twice: int
-
-    @property
-    def value(self):
-        return self.twice / 2
 
     def __str__(self):
         if self.twice % 2 == 0:
@@ -90,21 +79,6 @@ class TwoVarProfile:
     max_degree: int
     symmetric: bool
     almost_centered: bool
-    shape_case: str
-
-    def as_dict(self):
-        return {
-            "a": self.a,
-            "b": self.b,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "swapped": self.swapped,
-            "socle_degree": self.socle_degree,
-            "max_degree": self.max_degree,
-            "symmetric": self.symmetric,
-            "almost_centered": self.almost_centered,
-            "shape_case": self.shape_case,
-        }
 
 
 def two_var_profile(a, b, alpha, beta) -> TwoVarProfile:
@@ -131,18 +105,6 @@ def two_var_profile(a, b, alpha, beta) -> TwoVarProfile:
     not_centered = (b >= a + beta + 2) or (
         a - alpha >= 2 and beta >= 2 and b <= a + beta - 2
     )
-    # informational case split mirroring the possible shapes of the sum of
-    # the two complete intersection series; ties go to the first match
-    if a + beta - 2 <= b - 1:
-        shape = SHAPE_ALL_ON_TOP
-    elif b <= alpha:
-        shape = SHAPE_ALL_ON_RIGHT
-    elif max(a, alpha + beta) <= b:
-        shape = SHAPE_SLANT_1
-    elif min(a, alpha + beta) <= b:
-        shape = SHAPE_SLANT_2
-    else:
-        shape = SHAPE_SLANT_3
     return TwoVarProfile(
         a=a,
         b=b,
@@ -153,5 +115,4 @@ def two_var_profile(a, b, alpha, beta) -> TwoVarProfile:
         max_degree=peak,
         symmetric=symmetric,
         almost_centered=not not_centered,
-        shape_case=shape,
     )

@@ -38,11 +38,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _load_json(text):
+    """Decoded JSON input; nesting too deep for the decoder is a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def _load_ideal(text, nvars=None):
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        data = json.loads(stripped)
-        return MaciSpec.from_dict(data).ideal()
+    if text.strip().startswith("{"):
+        return MaciSpec.from_dict(_load_json(text)).ideal()
     return parse_ideal(text, n=nvars)
 
 
@@ -50,7 +56,7 @@ def _load_grid(text):
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
-    return grid_from_json(json.loads(text))
+    return grid_from_json(_load_json(text))
 
 
 def _form_coefficients(seed, n):

@@ -8,18 +8,20 @@ A randomized-coefficients mode is still provided as an empirical spot check.
 
 Every matrix entry is read from one exact table: the coefficient of x^d in
 l^|d|, for every exponent difference d that two standard monomials can
-have (see ``_power_table``).  Reducing that table modulo a word-size prime
-once per report gives every cell's residues; elimination modulo the prime
-can only underestimate the rank over Q, so whenever it reports min(dim) the
-map is proven to have full rank.  Below that, the rank r mod p is still a
-proven lower bound, and the matching upper bound comes from dim - r
-independent integer vectors in the kernel of the cell (or of its
-transpose, whichever has fewer columns), each checked exactly as M v = 0
-over Z.  The vectors are read off the reduced echelon form mod p and lifted
-by Chinese remaindering over a few primes and rational reconstruction
-(Wang, Guy and Davenport 1982), a certificate in the sense of Kaltofen,
-Nehring and Saunders (ISSAC 2011); see ``_kernel_certifies``.  Only a cell
-whose kernel vectors do not verify is ranked again from the table's exact
+have (see ``_power_table``); the report's Hilbert series is counted from
+the same basis.  The table is reduced modulo a word-size prime once per
+report, and ``_certified_rank`` eliminates each ranked cell once modulo
+the prime, in its narrower orientation (the cell or its transpose,
+whichever has fewer columns).  That can only underestimate the rank over
+Q, so whenever it reports min(dim) the map is proven to have full rank.
+Below that, the rank r mod p is still a proven lower bound, and the
+matching upper bound comes from dim - r independent integer vectors in the
+kernel of that orientation, each checked exactly as M v = 0 over Z.  The
+vectors are read off the same echelon form and lifted by Chinese
+remaindering over a few primes and rational reconstruction (Wang, Guy and
+Davenport 1982), a certificate in the sense of Kaltofen, Nehring and
+Saunders (ISSAC 2011); see ``_kernel_certifies``.  Only a cell whose
+kernel vectors do not verify is ranked again from the table's exact
 entries by fraction-free (Bareiss) elimination.  Floating point is never
 used.
 
@@ -63,7 +65,7 @@ from math import factorial, isqrt, lcm
 import numpy as np
 
 from .core import MonomialIdeal, check_table_size, standard_monomial_table
-from .series import HilbertSeries, hilbert_series
+from .series import HilbertSeries
 
 _PRIME = 2_147_483_647  # 2^31 - 1; products of two residues fit in int64
 # the largest primes below 2^31, for Chinese remaindering of kernel vectors
@@ -232,13 +234,8 @@ def _echelon_mod_prime(matrix, p):
     return pivots, A[: len(pivots)]
 
 
-def _rank_mod_prime(matrix, p=_PRIME) -> int:
-    """Rank of an int64 matrix over F_p; never exceeds the rank over Q."""
-    return len(_echelon_mod_prime(matrix, p)[0])
-
-
-def _kernel_mod_prime(matrix, p):
-    """Pivot columns, free columns and the kernel basis of ``matrix`` over F_p.
+def _kernel_mod_prime(pivots, echelon, p):
+    """Free columns and kernel basis over F_p from ``_echelon_mod_prime``'s output.
 
     The basis has one vector per free column j: 1 there, 0 in the other
     free columns and -R[k, j] in pivot column k, where R is the reduced row
@@ -246,13 +243,12 @@ def _kernel_mod_prime(matrix, p):
     column per free column: back substitution through the unit triangle of
     the echelon form on the free columns alone gives R's free columns.
     """
-    pivots, U = _echelon_mod_prime((matrix % p).astype(np.int64), p)
-    free = sorted(set(range(matrix.shape[1])) - set(pivots))
-    triangle = U[:, pivots]
-    X = U[:, free]
+    free = sorted(set(range(echelon.shape[1])) - set(pivots))
+    triangle = echelon[:, pivots]
+    X = echelon[:, free]
     for k in range(len(pivots) - 2, -1, -1):
         X[k] = (X[k] - (triangle[k, k + 1 :, None] * X[k + 1 :] % p).sum(axis=0)) % p
-    return pivots, free, -X % p
+    return free, -X % p
 
 
 def _rational(x, modulus):
@@ -289,45 +285,65 @@ def _integer_kernel(residues, modulus, pivots, free, ncols):
     return kernel
 
 
-def _kernel_certifies(matrix, rank) -> bool:
-    """Whether integer kernel vectors prove rank <= ``rank`` over Q.
+def _kernel_certifies(matrix, pivots, echelon) -> bool:
+    """Whether integer kernel vectors prove ``matrix`` has rank len(pivots) over Q.
 
-    ``matrix`` is an object array of Python ints.  Of it and its transpose,
-    B is the one with no more columns than rows, so that its kernel has
-    dimension ncols - rank.  Modulo each prime of ``_PRIMES`` in turn, the
-    reduced row echelon form R of B gives one kernel vector per free column:
-    1 there, 0 in the other free columns and -R[k, j] in pivot column k.
-    The residues of all primes so far are combined by Chinese remaindering
-    and lifted to integer vectors (``_integer_kernel``).  The vectors are
+    ``matrix`` is an object array of Python ints with no more columns than
+    rows, so that its kernel has dimension ncols - rank, and ``pivots`` and
+    ``echelon`` are its row echelon form mod the first prime of ``_PRIMES``.
+    Modulo each prime in turn, the reduced row echelon form R gives one
+    kernel vector per free column: 1 there, 0 in the other free columns and
+    -R[k, j] in pivot column k; only the later primes eliminate again.  The
+    residues of all primes so far are combined by Chinese remaindering and
+    lifted to integer vectors (``_integer_kernel``).  The vectors are
     independent, since they form an identity block on the free columns, so
-    once B times them is exactly zero over Z, B has at most ``rank``
-    independent columns.  With elimination mod p, which never overstates
-    the rank, this certifies it (Kaltofen, Nehring and Saunders, ISSAC
-    2011).  False when the first prime does not give ``rank`` pivots, a
-    later prime gives other pivot columns, or no prime yields vectors that
-    verify.
+    once the matrix times them is exactly zero over Z, it has at most
+    len(pivots) independent columns.  With elimination mod p, which never
+    overstates the rank, this certifies it (Kaltofen, Nehring and Saunders,
+    ISSAC 2011).  False when a later prime gives other pivot columns or no
+    prime yields vectors that verify.
     """
-    B = matrix if matrix.shape[1] <= matrix.shape[0] else matrix.T
-    first = residues = None
-    modulus = 1
+    first, residues, modulus = pivots, 0, 1
     for p in _PRIMES:
-        pivots, free, block = _kernel_mod_prime(B, p)
-        if first is None:
-            if len(pivots) != rank:
+        if p != _PRIME:
+            pivots, echelon = _echelon_mod_prime((matrix % p).astype(np.int64), p)
+            if pivots != first:
                 return False
-            first = pivots
-        elif pivots != first:
-            return False
+        free, block = _kernel_mod_prime(pivots, echelon, p)
         block = block.astype(object)
-        if residues is None:
-            residues = block
-        else:  # the residue mod modulus * p that matches both
-            residues = residues + modulus * ((block - residues) * pow(modulus, -1, p) % p)
+        # the residues mod modulus * p that match those of every prime so far
+        residues = residues + modulus * ((block - residues) * pow(modulus, -1, p) % p)
         modulus *= p
-        kernel = _integer_kernel(residues, modulus, pivots, free, B.shape[1])
-        if kernel is not None and not np.count_nonzero(B.dot(kernel)):
+        kernel = _integer_kernel(residues, modulus, pivots, free, matrix.shape[1])
+        if kernel is not None and not np.count_nonzero(matrix.dot(kernel)):
             return True
     return False
+
+
+def _certified_rank(cell, residues, table, i, t):
+    """Rank over Q of the cell of l^t on degree i, and its certificate.
+
+    ``cell`` indexes the cell in the flat exact ``table`` and in its
+    ``residues`` mod ``_PRIME``.  The cell is eliminated once mod ``_PRIME``,
+    in the orientation with no more columns than rows, whose kernel the
+    certificate reads; below full rank, that echelon form seeds
+    ``_kernel_certifies``, and Bareiss is the last resort.
+    """
+    if cell.shape[1] > cell.shape[0]:
+        cell = cell.T
+    pivots, echelon = _echelon_mod_prime(residues[cell], _PRIME)
+    rank = len(pivots)
+    if rank == cell.shape[1]:
+        return rank, CERT_MOD_P
+    entries = table[cell]
+    if _kernel_certifies(entries, pivots, echelon):
+        return rank, CERT_KERNEL
+    exact = matrix_rank(entries.tolist())  # the last resort
+    if exact < rank:
+        raise HypothesisViolation(
+            f"exact rank {exact} of l^{t} on degree {i} is below its rank mod p, {rank}"
+        )
+    return exact, CERT_EXACT
 
 
 @dataclass
@@ -414,7 +430,7 @@ def lefschetz_report(ideal, coefficients=None) -> LefschetzReport:
     ranked; records are returned in (t, i) order all the same.
     """
     keys, table, center = _power_table(ideal, coefficients)
-    series = hilbert_series(ideal)
+    series = HilbertSeries([len(bucket) for bucket in keys])
     if series.is_zero():
         return LefschetzReport(ideal, series, [], True, True, [])
     socle = series.socle_degree
@@ -437,16 +453,7 @@ def lefschetz_report(ideal, coefficients=None) -> LefschetzReport:
                 rank, certificate, implied_by = small, CERT_IMPLIED, surjective[1]
             else:
                 cell = center + keys[i + t][:, None] - keys[i]
-                rank, certificate = _rank_mod_prime(residues[cell]), CERT_MOD_P
-                if rank < small and _kernel_certifies(table[cell], rank):
-                    certificate = CERT_KERNEL
-                elif rank < small:  # the last resort
-                    exact = matrix_rank(table[cell].tolist())
-                    if exact < rank:
-                        raise HypothesisViolation(
-                            f"exact rank {exact} of l^{t} on degree {i} is below its rank mod p, {rank}"
-                        )
-                    rank, certificate = exact, CERT_EXACT
+                rank, certificate = _certified_rank(cell, residues, table, i, t)
             full = rank == small
             # a full-rank square cell is bijective and proves both directions
             if full and dim_src <= dim_tgt:
@@ -461,37 +468,3 @@ def lefschetz_report(ideal, coefficients=None) -> LefschetzReport:
     wlp = all(rec.full_rank for rec in maps if rec.t == 1)
     slp = not witnesses
     return LefschetzReport(ideal, series, maps, wlp, slp, witnesses)
-
-
-def tensor_map_full_rank(base_series, d, i, t) -> bool:
-    """Full rank of l^t : A_i -> A_{i+t} on A = B (x) k[z]/(z^d), from B's
-    Hilbert function alone.
-
-    B is assumed strong Lefschetz, so every base map l^e : B_j -> B_{j+e}
-    has full rank and its direction is forced by the dimensions.  The tensor
-    map has full rank exactly when the base maps
-
-        l^(2q + t - (d-1)) : B_{i-q} -> B_{i+q+t-(d-1)},
-        q = max(0, d - t), ..., d - 1
-
-    can all have full rank for one common reason: all injective or all
-    surjective.  Dimensions outside the support count as 0; a zero source is
-    injective-capable and a zero target surjective-capable.
-    """
-    if d < 1:
-        raise ValueError("the tensor exponent d must be >= 1")
-    if t < 0:
-        raise ValueError("the power t must be >= 0")
-    injective_ok = True
-    surjective_ok = True
-    for q in range(max(0, d - t), d):
-        exp = 2 * q + t - (d - 1)
-        if exp < 0:
-            continue  # vacuous map; cannot occur for t >= 1
-        dim_src = base_series[i - q]
-        dim_tgt = base_series[i + q + t - (d - 1)]
-        if dim_src > dim_tgt:
-            injective_ok = False
-        elif dim_src < dim_tgt:
-            surjective_ok = False
-    return injective_ok or surjective_ok

@@ -25,10 +25,16 @@ from lefschetz.oracle import (
     CERT_EMPTY,
     CERT_EXACT,
     CERT_MOD_P,
+    _echelon_mod_prime,
     _power_table,
-    _rank_mod_prime,
     _reason_for,
 )
+
+SHAPE_ALL_ON_TOP = "all_on_top"
+SHAPE_ALL_ON_RIGHT = "all_on_right"
+SHAPE_SLANT_1 = "slant_1"
+SHAPE_SLANT_2 = "slant_2"
+SHAPE_SLANT_3 = "slant_3"
 
 
 def standard_monomials(ideal, degree):
@@ -193,7 +199,8 @@ def lefschetz_report_all_cells(ideal, coefficients=None):
                 rank, certificate = 0, CERT_EMPTY
             else:
                 cell = center + keys[i + t][:, None] - keys[i]
-                rank, certificate = _rank_mod_prime(residues[cell]), CERT_MOD_P
+                pivots, _ = _echelon_mod_prime(residues[cell], _PRIME)
+                rank, certificate = len(pivots), CERT_MOD_P
                 if rank < small:
                     exact = matrix_rank(table[cell].tolist())
                     if exact < rank:
@@ -209,6 +216,56 @@ def lefschetz_report_all_cells(ideal, coefficients=None):
     wlp = all(rec.full_rank for rec in maps if rec.t == 1)
     slp = not witnesses
     return LefschetzReport(ideal, series, maps, wlp, slp, witnesses)
+
+
+def tensor_map_full_rank(base_series, d, i, t) -> bool:
+    """Full rank of l^t : A_i -> A_{i+t} on A = B (x) k[z]/(z^d), from B's
+    Hilbert function alone.
+
+    B is assumed strong Lefschetz, so every base map l^e : B_j -> B_{j+e}
+    has full rank and its direction is forced by the dimensions.  The tensor
+    map has full rank exactly when the base maps
+
+        l^(2q + t - (d-1)) : B_{i-q} -> B_{i+q+t-(d-1)},
+        q = max(0, d - t), ..., d - 1
+
+    can all have full rank for one common reason: all injective or all
+    surjective.  Dimensions outside the support count as 0; a zero source is
+    injective-capable and a zero target surjective-capable.
+    """
+    if d < 1:
+        raise ValueError("the tensor exponent d must be >= 1")
+    if t < 0:
+        raise ValueError("the power t must be >= 0")
+    injective_ok = True
+    surjective_ok = True
+    for q in range(max(0, d - t), d):
+        exp = 2 * q + t - (d - 1)
+        if exp < 0:
+            continue  # vacuous map; cannot occur for t >= 1
+        dim_src = base_series[i - q]
+        dim_tgt = base_series[i + q + t - (d - 1)]
+        if dim_src > dim_tgt:
+            injective_ok = False
+        elif dim_src < dim_tgt:
+            surjective_ok = False
+    return injective_ok or surjective_ok
+
+
+def shape_case(profile):
+    """Informational case of a normalized TwoVarProfile, mirroring the
+    possible shapes of the sum of the two complete intersection series;
+    ties go to the first match."""
+    a, b, alpha, beta = profile.a, profile.b, profile.alpha, profile.beta
+    if a + beta - 2 <= b - 1:
+        return SHAPE_ALL_ON_TOP
+    if b <= alpha:
+        return SHAPE_ALL_ON_RIGHT
+    if max(a, alpha + beta) <= b:
+        return SHAPE_SLANT_1
+    if min(a, alpha + beta) <= b:
+        return SHAPE_SLANT_2
+    return SHAPE_SLANT_3
 
 
 def is_almost_centered_noncrossing(hs) -> bool:

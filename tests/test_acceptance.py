@@ -26,7 +26,6 @@ from lefschetz import (
     slp_symmetric,
     support_two_grid,
     symmetric_grid,
-    tensor_map_full_rank,
     two_var_profile,
 )
 from lefschetz.classify import all_maci_grid
@@ -41,6 +40,7 @@ from _util import (
     seeded,
     survey_disagreements,
     symmetric_product_check,
+    tensor_map_full_rank,
     two_var_series_by_enumeration,
 )
 

@@ -18,6 +18,7 @@ from _util import (
     is_unimodal,
     rand_series,
     seeded,
+    shape_case,
     symmetric_product_check,
     two_var_series_by_enumeration,
 )
@@ -159,7 +160,7 @@ def test_profile_shape_case_is_deterministic():
         for b in range(2, 8):
             for alpha in range(1, a):
                 for beta in range(1, b):
-                    seen.add(two_var_profile(a, b, alpha, beta).shape_case)
+                    seen.add(shape_case(two_var_profile(a, b, alpha, beta)))
     assert "all_on_top" in seen
 
 

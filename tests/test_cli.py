@@ -440,6 +440,25 @@ def test_survey_rejects_bad_grid(tmp_path, capsys, grid):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", ["check", "survey", "survey @file"])
+def test_deeply_nested_json_is_one_line_error(tmp_path, capsys, command):
+    # nesting beyond the decoder's recursion limit
+    text = '{"a":' + "[" * 100_000
+    deep = tmp_path / "deep.json"
+    deep.write_text(text, encoding="utf-8")
+    out_path = tmp_path / "rows.csv"
+    argv = {
+        "check": ["check", text],
+        "survey": ["survey", text, "--out", str(out_path)],
+        "survey @file": ["survey", f"@{deep}", "--out", str(out_path)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: JSON input is nested too deeply\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "grid",
     [

@@ -19,9 +19,8 @@ from lefschetz import (
     parse_ideal,
     pure_power,
     standard_monomial_table,
-    tensor_map_full_rank,
 )
-from lefschetz.oracle import _PRIME, _PRIMES, _kernel_certifies, _rank_mod_prime
+from lefschetz.oracle import _PRIME, _PRIMES, _certified_rank, _echelon_mod_prime
 from _util import (
     contains,
     lefschetz_report_all_cells,
@@ -30,6 +29,7 @@ from _util import (
     rand_maci,
     seeded,
     standard_monomials,
+    tensor_map_full_rank,
 )
 
 TOGLIATTI = parse_ideal("x1^3, x2^3, x3^3, x1*x2*x3")
@@ -112,7 +112,7 @@ def test_matrix_rank_matches_modular_on_small_integers():
         if rng.random() < 0.4 and rows > 1:  # force rank deficiency sometimes
             mat[-1] = [2 * x for x in mat[0]]
         exact = matrix_rank(mat)
-        modular = _rank_mod_prime(np.array(mat, dtype=np.int64))
+        modular = len(_echelon_mod_prime(np.array(mat, dtype=np.int64), _PRIME)[0])
         assert exact == modular, mat
 
 
@@ -214,6 +214,7 @@ def test_report_matches_all_cells_reference():
             want = lefschetz_report_all_cells(ideal, coeffs)
             assert _record_keys(got) == _record_keys(want), (ideal, coeffs)
             assert (got.witnesses, got.wlp, got.slp) == (want.witnesses, want.wlp, want.slp)
+            assert got.series == hilbert_series(ideal), ideal
     assert sum(1 for ideal in ideals + failing if not lefschetz_report(ideal).slp) >= 20
 
 
@@ -320,17 +321,52 @@ def test_report_falls_back_to_bareiss_after_an_unlucky_prime(monkeypatch, coeffs
     assert got.witnesses == want.witnesses == [(2, 1)]
 
 
+@pytest.mark.parametrize(
+    "ideal, coeffs, path",
+    [
+        (MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal(), None, "kernel"),
+        (TOGLIATTI, [2**31 - 1, 1, 1], "exact"),
+    ],
+)
+def test_report_eliminates_each_ranked_cell_once_mod_the_first_prime(
+    monkeypatch, ideal, coeffs, path
+):
+    # the kernel certificate starts from the rank step's echelon form, and
+    # only its later primes eliminate again
+    primes = []
+    echelon_mod_prime = lefschetz.oracle._echelon_mod_prime
+
+    def recorded(matrix, p):
+        primes.append(p)
+        return echelon_mod_prime(matrix, p)
+
+    monkeypatch.setattr(lefschetz.oracle, "_echelon_mod_prime", recorded)
+    report = lefschetz_report(ideal, coeffs)
+    ranked = [r.certificate for r in report.maps if r.certificate in {"mod_p", "kernel", "exact"}]
+    assert path in ranked
+    assert primes.count(_PRIME) == len(ranked)
+
+
+def _certify(matrix):
+    """(rank, certificate) of a small integer matrix, as a one-cell table."""
+    table = np.array(matrix, dtype=object)
+    cell = np.arange(table.size).reshape(table.shape)
+    table = table.ravel()
+    return _certified_rank(cell, (table % _PRIME).astype(np.int64), table, 0, 1)
+
+
 def test_kernel_certificate_gives_up_rather_than_understate():
     # rank 2 over Q but rank 1 mod the first prime: the kernel vector (1, 0)
-    # is not a kernel vector over Z and the second prime has other pivots
-    matrix = np.array([[_PRIME, 0], [0, 1]], dtype=object)
-    assert _rank_mod_prime(matrix.astype(np.int64)) == 1
-    assert not _kernel_certifies(matrix, 1)
+    # is not a kernel vector over Z and the second prime has other pivots,
+    # so Bareiss ranks it
+    matrix = [[_PRIME, 0], [0, 1]]
+    assert len(_echelon_mod_prime(np.array(matrix, dtype=np.int64), _PRIME)[0]) == 1
+    assert _certify(matrix) == (2, "exact")
     # rank 1 in either orientation; more columns than rows means the
     # transpose is the one whose kernel is taken
-    assert _kernel_certifies(np.array([[2, 4], [1, 2], [-3, -6]], dtype=object), 1)
-    assert _kernel_certifies(np.array([[2, 1, -3], [4, 2, -6]], dtype=object), 1)
-    assert not _kernel_certifies(np.array([[2, 4], [1, 3]], dtype=object), 1)
+    assert _certify([[2, 4], [1, 2], [-3, -6]]) == (1, "kernel")
+    assert _certify([[2, 1, -3], [4, 2, -6]]) == (1, "kernel")
+    assert _certify([[2, 4], [1, 3]]) == (2, "mod_p")
 
 
 def test_kernel_certificate_combines_primes(monkeypatch):
@@ -340,12 +376,12 @@ def test_kernel_certificate_combines_primes(monkeypatch):
     primes = []
     kernel_mod_prime = lefschetz.oracle._kernel_mod_prime
 
-    def recorded(matrix, p):
+    def recorded(pivots, echelon, p):
         primes.append(p)
-        return kernel_mod_prime(matrix, p)
+        return kernel_mod_prime(pivots, echelon, p)
 
     monkeypatch.setattr(lefschetz.oracle, "_kernel_mod_prime", recorded)
-    assert _kernel_certifies(np.array([[a, b], [2 * a, 2 * b], [0, 0]], dtype=object), 1)
+    assert _certify([[a, b], [2 * a, 2 * b], [0, 0]]) == (1, "kernel")
     assert primes == list(_PRIMES[:2])
 
 
