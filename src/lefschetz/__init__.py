@@ -18,7 +18,6 @@ from .classify import (
     classify_support_two,
     csm_decomposition,
     grid_from_json,
-    is_symmetric_maci,
     slp_symmetric,
     support_two_grid,
     symmetric_grid,

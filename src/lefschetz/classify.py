@@ -60,15 +60,11 @@ def classify_support_two(spec) -> ClassificationVerdict:
     if len(supp) != 2:
         raise ValueError("the extra generator must involve exactly two variables")
     i, j = supp
-    a1, alpha = spec.a[i], spec.m[i]
-    a2, beta = spec.a[j], spec.m[j]
-    swapped = a1 + beta > a2 + alpha
-    if swapped:
-        (a1, alpha), (a2, beta) = (a2, beta), (a1, alpha)
+    profile = two_var_profile(spec.a[i], spec.a[j], spec.m[i], spec.m[j])
+    a1, a2, alpha, beta = profile.a, profile.b, profile.alpha, profile.beta
     extras = sorted(spec.a[k] for k in range(spec.n) if k not in supp)
     active = [e for e in extras if e >= 2]
     n_eff = 2 + len(active)
-    profile = two_var_profile(a1, a2, alpha, beta)
     stars = {
         "a1_eq_alpha_plus_1": a1 == alpha + 1,
         "beta_eq_1": beta == 1,
@@ -77,7 +73,7 @@ def classify_support_two(spec) -> ClassificationVerdict:
     explicit = a2 < a1 + beta + 2 and any(stars.values())
     details = {
         "support": (i + 1, j + 1),
-        "swapped": swapped,
+        "swapped": profile.swapped,
         "a1": a1,
         "a2": a2,
         "alpha": alpha,
@@ -112,10 +108,6 @@ def symmetric_witness(spec):
         if spec.a[cur] != spec.a[prev] + spec.m[cur]:
             return None
     return tuple(order)
-
-
-def is_symmetric_maci(spec) -> bool:
-    return symmetric_witness(spec) is not None
 
 
 @dataclass(frozen=True)
@@ -256,15 +248,14 @@ def slp_symmetric(spec) -> bool:
 def classify_maci(spec):
     """Dispatch to whichever classification rule covers the input, or None.
 
-    A symmetric spec is certified as slp_symmetric does it, decomposing at
-    the top of its witness ordering.
+    A symmetric spec is certified by slp_symmetric.
     """
     if len(spec.m.support) == 2:
         return classify_support_two(spec)
     witness = symmetric_witness(spec)
     if witness is None:
         return None
-    _check_symmetric_decomposition(spec, spec.series(), witness[-1])
+    slp_symmetric(spec)
     return ClassificationVerdict(
         True, RULE_SYMMETRIC_HS, {"witness_order": [k + 1 for k in witness]}
     )

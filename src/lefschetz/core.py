@@ -2,22 +2,23 @@
 
 Everything here is exact integer combinatorics.  Ideals are held by their
 unique minimal generating set, and Artinian quotients expose their monomial
-basis degree by degree in a fixed order, so that matrices built elsewhere
-are reproducible.
+basis degree by degree as int64 exponent arrays in a fixed order, so that
+matrices built elsewhere are reproducible.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import compress, product
+from itertools import compress
 from math import prod
+
+import numpy as np
 
 MAX_EXPONENT = 2**63 - 1  # exponents stay machine-width; coefficients do not
 MAX_VAR_INDEX = 10_000
-# Work budget: the most entries a table may hold, checked before the box
-# below the pure powers (prod a_j) is enumerated, before the oracle's
-# power table (prod (2 a_j - 1) Python ints) is allocated and before a
-# complete intersection series is multiplied out ((sum a_j - n + 1) max a_j
+# Work budget: the most entries a table may hold, checked before a basis
+# (n prod a_j exponents) is enumerated, before the oracle's power table
+# (prod (2 a_j - 1) Python ints) is allocated and before a complete
+# intersection series is multiplied out ((sum a_j - n + 1) max a_j
 # coefficient steps).  A power table of 359,375 entries takes about 1 s and
 # 7 MB to build on a 2 GHz Xeon core; pure powers a = (7, 8, 9, 10) need
 # 62,985.
@@ -53,9 +54,6 @@ class Monomial(tuple):
 
     def divides(self, other) -> bool:
         return all(a <= b for a, b in zip(self, other))
-
-    def times(self, other) -> "Monomial":
-        return Monomial(a + b for a, b in zip(self, other))
 
     def quotient_by(self, other) -> "Monomial":
         """Exponentwise max(a - b, 0), i.e. self / gcd(self, other)."""
@@ -259,28 +257,33 @@ def check_table_size(sizes):
         raise ValueError(f"a table of {shown} entries exceeds the budget of {MAX_TABLE_ENTRIES}")
 
 
-@lru_cache(maxsize=256)
 def standard_monomial_table(ideal):
-    """Standard monomials of R/I bucketed by degree.
+    """Standard monomials of R/I by degree, one (dim A_i, n) int64 array each.
 
-    Each bucket is ordered graded-lexicographically with x1 largest, so
-    bases (and hence matrices) are deterministic.  Only Artinian ideals are
-    accepted; anything else would enumerate forever.  A box of more than
-    MAX_TABLE_ENTRIES exponent vectors is refused before enumeration.
+    Rows are ordered graded-lexicographically with x1 largest, so bases (and
+    hence matrices) are deterministic.  Only Artinian ideals are accepted;
+    anything else would enumerate forever.  Only the variables with a_j >= 2
+    are enumerated: x_j with a_j = 1 is zero in the quotient and divides no
+    other minimal generator, so its column is 0.  A basis of more than
+    MAX_TABLE_ENTRIES exponents (n prod a_j) is refused before enumeration.
     """
     if not ideal.is_artinian():
         raise ValueError("standard monomials form an infinite set for a non-Artinian ideal")
     if ideal.is_unit():
         return ()
-    bounds = [ideal.pure_power_bound(i) for i in range(ideal.n)]
-    check_table_size(bounds)
-    cross = [tuple(g) for g in ideal.generators if not g.is_pure_power()]
-    buckets = [[] for _ in range(sum(bounds) - ideal.n + 1)]
-    ranges = [range(b - 1, -1, -1) for b in bounds]
-    for exps in product(*ranges):
-        if any(all(e >= ge for e, ge in zip(exps, g)) for g in cross):
-            continue
-        buckets[sum(exps)].append(Monomial(exps))
-    while buckets and not buckets[-1]:
-        buckets.pop()
-    return tuple(tuple(b) for b in buckets)
+    bounds = [ideal.pure_power_bound(j) for j in range(ideal.n)]
+    check_table_size(bounds + [ideal.n])
+    active = [j for j, a in enumerate(bounds) if a > 1]
+    radix = [bounds[j] for j in active]
+    # box rows in descending lex order: mixed-radix digits of a falling count
+    code = np.arange(prod(radix) - 1, -1, -1, dtype=np.int64)
+    box = np.empty((code.size, len(active)), dtype=np.int64)
+    for col in range(len(active) - 1, -1, -1):
+        code, box[:, col] = np.divmod(code, radix[col])
+    for g in ideal.generators:
+        if not g.is_pure_power():
+            box = box[(box < [g[j] for j in active]).any(axis=1)]
+    degree = box.sum(axis=1)
+    basis = np.zeros((len(box), ideal.n), dtype=np.int64)
+    basis[:, active] = box[np.argsort(degree, kind="stable")]
+    return tuple(np.split(basis, np.cumsum(np.bincount(degree))[:-1]))

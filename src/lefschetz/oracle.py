@@ -9,21 +9,22 @@ A randomized-coefficients mode is still provided as an empirical spot check.
 Every matrix entry is read from one exact table: the coefficient of x^d in
 l^|d|, for every exponent difference d that two standard monomials can
 have (see ``_power_table``); the report's Hilbert series is counted from
-the same basis.  The table is reduced modulo a word-size prime once per
-report, and ``_certified_rank`` eliminates each ranked cell once modulo
-the prime, in its narrower orientation (the cell or its transpose,
-whichever has fewer columns).  That can only underestimate the rank over
-Q, so whenever it reports min(dim) the map is proven to have full rank.
-Below that, the rank r mod p is still a proven lower bound, and the
-matching upper bound comes from dim - r independent integer vectors in the
-kernel of that orientation, each checked exactly as M v = 0 over Z.  The
-vectors are read off the same echelon form and lifted by Chinese
-remaindering over a few primes and rational reconstruction (Wang, Guy and
-Davenport 1982), a certificate in the sense of Kaltofen, Nehring and
-Saunders (ISSAC 2011); see ``_kernel_certifies``.  Only a cell whose
-kernel vectors do not verify is ranked again from the table's exact
-entries by fraction-free (Bareiss) elimination.  Floating point is never
-used.
+the same basis, int64 exponent arrays over the variables with a_j >= 2,
+enumerated once the table's budget is checked.  The table is reduced
+modulo a word-size prime once per report, and ``_certified_rank``
+eliminates each ranked cell once modulo the prime, in its narrower
+orientation (the cell or its transpose, whichever has fewer columns).
+That can only underestimate the rank over Q, so whenever it reports
+min(dim) the map is proven to have full rank.  Below that, the rank r mod
+p is still a proven lower bound, and the matching upper bound comes from
+dim - r independent integer vectors in the kernel of that orientation,
+each checked exactly as M v = 0 over Z.  The vectors are read off the same
+echelon form and lifted by Chinese remaindering over a few primes and
+rational reconstruction (Wang, Guy and Davenport 1982), a certificate in
+the sense of Kaltofen, Nehring and Saunders (ISSAC 2011); see
+``_kernel_certifies``.  Only a cell whose kernel vectors do not verify is
+ranked again from the table's exact entries by fraction-free (Bareiss)
+elimination.  Floating point is never used.
 
 Most cells are never ranked, because three facts that hold for every
 standard graded Artinian algebra and every linear form imply their full
@@ -112,6 +113,12 @@ def _power_table(ideal, coefficients=None):
     sum(u_j * w_j) with the strides w_j of the box, so the entry for (u, v)
     sits at ``center + key(u) - key(v)``.
 
+    Only the quotient's own variables, those with a_j >= 2, get an axis: x_j
+    with a_j = 1 is zero in the quotient, so d_j is always 0.  Once the
+    budget prod(2 a_j - 1) is checked, the basis is enumerated on the ideal
+    restricted to those variables, so the basis, the table and the keys
+    share their axes.
+
     Returns (keys by degree as int64 arrays, flat object table, center).
     A box of more than MAX_TABLE_ENTRIES entries is a ValueError.
     """
@@ -122,12 +129,19 @@ def _power_table(ideal, coefficients=None):
         raise ValueError("need one linear form coefficient per variable")
     # Python ints, so that c**d cannot wrap as a numpy fixed-width integer would
     coefficients = [operator.index(c) for c in coefficients]
-    basis = standard_monomial_table(ideal)
-    if not basis:  # the unit ideal: no monomials and no entries
+    if not ideal.is_artinian():
+        raise ValueError("standard monomials form an infinite set for a non-Artinian ideal")
+    if ideal.is_unit():  # no monomials and no entries
         return (), np.zeros(0, dtype=object), 0
     bounds = [ideal.pure_power_bound(j) for j in range(n)]
     check_table_size([2 * a - 1 for a in bounds])
-    fact = [factorial(k) for k in range(sum(bounds) - n + 1)]
+    # when every a_j is 1 the quotient is the field, kept on the axis of x1
+    axes = [j for j, a in enumerate(bounds) if a > 1] or [0]
+    gens = [[g[j] for j in axes] for g in ideal.generators if any(g[j] for j in axes)]
+    basis = standard_monomial_table(MonomialIdeal(len(axes), gens))
+    bounds = [bounds[j] for j in axes]
+    coefficients = [coefficients[j] for j in axes]
+    fact = [factorial(k) for k in range(sum(bounds) - len(axes) + 1)]
     degree = np.zeros((), dtype=np.int64)
     denom = np.ones((), dtype=object)
     powers = np.ones((), dtype=object)
@@ -141,7 +155,7 @@ def _power_table(ideal, coefficients=None):
     )
     strides = np.array(table.strides, dtype=np.int64) // table.itemsize
     center = int(strides @ (np.array(bounds, dtype=np.int64) - 1))
-    keys = [np.array(bucket, dtype=np.int64).reshape(-1, n) @ strides for bucket in basis]
+    keys = [bucket @ strides for bucket in basis]
     return keys, table.ravel(), center
 
 
@@ -384,12 +398,6 @@ class LefschetzReport:
     wlp: bool
     slp: bool
     witnesses: list  # failing (i, t) pairs
-
-    def map_at(self, i, t):
-        for rec in self.maps:
-            if rec.i == i and rec.t == t:
-                return rec
-        raise KeyError((i, t))
 
     def as_dict(self):
         return {

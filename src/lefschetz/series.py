@@ -57,11 +57,6 @@ class HilbertSeries:
             raise ValueError("the zero series has no socle degree")
         return self.offset + len(self.coeffs) - 1
 
-    @property
-    def total(self) -> int:
-        """Sum of all coefficients (the vector space dimension)."""
-        return sum(self.coeffs)
-
     def __getitem__(self, degree):
         k = degree - self.offset
         if 0 <= k < len(self.coeffs):

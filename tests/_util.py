@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: random generators and small oracles."""
 
 import random
+from functools import lru_cache
+from itertools import product
 from math import factorial
 
 import numpy as np
@@ -18,6 +20,7 @@ from lefschetz import (
     matrix_rank,
     render_monomial,
     standard_monomial_table,
+    symmetric_witness,
 )
 from lefschetz.cli import _survey_one, survey_rows
 from lefschetz.oracle import (
@@ -37,12 +40,54 @@ SHAPE_SLANT_2 = "slant_2"
 SHAPE_SLANT_3 = "slant_3"
 
 
+@lru_cache(maxsize=256)
+def standard_monomial_table_by_product(ideal):
+    """Reference basis: standard monomials of R/I as Monomials bucketed by
+    degree, from a Python product over the whole box below the pure powers,
+    each bucket in graded lex order (x1 largest)."""
+    if ideal.is_unit():
+        return ()
+    bounds = [ideal.pure_power_bound(i) for i in range(ideal.n)]
+    cross = [tuple(g) for g in ideal.generators if not g.is_pure_power()]
+    buckets = [[] for _ in range(sum(bounds) - ideal.n + 1)]
+    ranges = [range(b - 1, -1, -1) for b in bounds]
+    for exps in product(*ranges):
+        if any(all(e >= ge for e, ge in zip(exps, g)) for g in cross):
+            continue
+        buckets[sum(exps)].append(Monomial(exps))
+    while buckets and not buckets[-1]:
+        buckets.pop()
+    return tuple(tuple(b) for b in buckets)
+
+
 def standard_monomials(ideal, degree):
     """Degree-d monomial basis of R/I (graded lex order, x1 largest)."""
     table = standard_monomial_table(ideal)
     if degree < 0 or degree >= len(table):
         return []
-    return list(table[degree])
+    return [Monomial(row) for row in table[degree].tolist()]
+
+
+def times(u, v):
+    """The product of two monomials."""
+    return Monomial(a + b for a, b in zip(u, v))
+
+
+def series_total(hs):
+    """Sum of all coefficients (the vector space dimension)."""
+    return sum(hs.coeffs)
+
+
+def is_symmetric_maci(spec):
+    return symmetric_witness(spec) is not None
+
+
+def map_at(report, i, t):
+    """The record of l^t : A_i -> A_{i+t} in a LefschetzReport."""
+    for rec in report.maps:
+        if rec.i == i and rec.t == t:
+            return rec
+    raise KeyError((i, t))
 
 
 def hilbert_series_by_counting(ideal):
@@ -150,9 +195,9 @@ def multiplication_matrix_by_entries(ideal, i, t, coefficients=None):
 
     The (u, v) entry is t! / prod((u_j - v_j)!) * prod(c_j^(u_j - v_j)) when
     u - v is componentwise nonnegative, else 0; rows and columns follow the
-    graded lex order of standard_monomial_table.
+    graded lex order of the reference basis.
     """
-    table = standard_monomial_table(ideal)
+    table = standard_monomial_table_by_product(ideal)
     src = table[i] if i < len(table) else ()
     tgt = table[i + t] if i + t < len(table) else ()
     rows = []

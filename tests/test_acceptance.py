@@ -18,7 +18,6 @@ from lefschetz import (
     hilbert_series,
     is_almost_centered,
     is_symmetric,
-    is_symmetric_maci,
     lefschetz_report,
     matrix_rank,
     minimalize,
@@ -31,6 +30,7 @@ from lefschetz import (
 from lefschetz.classify import all_maci_grid
 from lefschetz.cli import main
 from _util import (
+    is_symmetric_maci,
     is_unimodal,
     plus_monomial,
     rand_artinian_ideal,

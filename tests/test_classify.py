@@ -14,7 +14,6 @@ from lefschetz import (
     grid_from_json,
     hilbert_series,
     is_symmetric,
-    is_symmetric_maci,
     lefschetz_report,
     slp_symmetric,
     support_two_grid,
@@ -22,7 +21,13 @@ from lefschetz import (
     symmetric_witness,
     two_var_profile,
 )
-from _util import hilbert_series_by_counting, rand_maci, seeded, survey_disagreements
+from _util import (
+    hilbert_series_by_counting,
+    is_symmetric_maci,
+    rand_maci,
+    seeded,
+    survey_disagreements,
+)
 
 
 def test_classify_example_pair():

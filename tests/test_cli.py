@@ -142,6 +142,40 @@ def test_check_refuses_an_input_over_the_work_budget(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
 
 
+def test_check_ignores_variables_that_vanish_in_the_quotient(capsys):
+    # x3, ..., x70 lie in the ideal, so the quotient is the two-variable one;
+    # more variables than numpy has array dimensions must not matter
+    spec = json.dumps({"a": [2, 2] + [1] * 68, "m": [1, 1] + [0] * 68})
+    code, out, err = run(capsys, "check", spec)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, "check", "x1^2, x2^2, x1*x2")
+    assert "slp: true" in out
+
+
+def test_survey_of_seventy_variables_writes_its_row(tmp_path, capsys):
+    grid = json.dumps({"family": "support_two", "n": 70, "max_exp": 2, "extra_exp": 1})
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "--jobs", "1", "survey", grid, "--out", str(out_path))
+    assert (code, err) == (0, "")
+    with open(out_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    row = rows[0]
+    assert row["n"] == "70" and row["a"] == " ".join(["2", "2"] + ["1"] * 68)
+    assert (row["slp"], row["slp_predicted"], row["agreement"]) == ("true", "true", "true")
+
+
+def test_check_refuses_a_power_table_over_the_budget_before_the_basis(capsys):
+    # 2^19 standard monomials fit the budget, the 3^19-entry power table does not
+    text = ", ".join(f"x{j}^2" for j in range(1, 20))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", text)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err == "error: a table of 1162261467 entries exceeds the budget of 1000000\n"
+
+
 def test_check_random_form(capsys):
     code, out, _ = run(capsys, "--random-form", "7", "check", TOGLIATTI)
     assert code == 0

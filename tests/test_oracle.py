@@ -24,12 +24,14 @@ from lefschetz.oracle import _PRIME, _PRIMES, _certified_rank, _echelon_mod_prim
 from _util import (
     contains,
     lefschetz_report_all_cells,
+    map_at,
     multiplication_matrix_by_entries,
     rand_artinian_ideal,
     rand_maci,
     seeded,
     standard_monomials,
     tensor_map_full_rank,
+    times,
 )
 
 TOGLIATTI = parse_ideal("x1^3, x2^3, x3^3, x1*x2*x3")
@@ -86,7 +88,7 @@ def test_matrix_column_sums_at_t_one():
                 expected = sum(
                     1
                     for j in range(ideal.n)
-                    if not contains(ideal, v.times(Monomial(int(j == w) for w in range(ideal.n))))
+                    if not contains(ideal, times(v, Monomial(int(j == w) for w in range(ideal.n))))
                 )
                 assert sums[k] == expected
 
@@ -134,7 +136,7 @@ def test_report_togliatti():
     assert not report.wlp
     assert not report.slp
     assert report.witnesses == [(2, 1)]
-    rec = report.map_at(2, 1)
+    rec = map_at(report, 2, 1)
     assert (rec.dim_src, rec.dim_tgt, rec.rank) == (6, 6, 5)
     assert rec.reason == "neither"
     # kernel bookkeeping for t = 1 over h = 1,3,6,6,3: kernels 0, 0, 1, 3
@@ -242,14 +244,14 @@ def test_report_ranks_only_the_central_cells_of_a_symmetric_spec():
             continue
         assert rec.certificate == "implied"
         assert rec.full_rank and rec.rank == min(rec.dim_src, rec.dim_tgt)
-        source = report.map_at(*rec.implied_by)
+        source = map_at(report, *rec.implied_by)
         assert source.full_rank
         assert order[rec.implied_by] < order[(rec.i, rec.t)]
     assert report.as_dict()["maps"][0]["implied_by"] == list(report.maps[0].implied_by)
 
 
 def test_report_deficient_cells_are_exact_never_implied():
-    rec = lefschetz_report(TOGLIATTI).map_at(2, 1)
+    rec = map_at(lefschetz_report(TOGLIATTI), 2, 1)
     assert (rec.certificate, rec.implied_by) == ("kernel", None)
     assert rec.as_dict()["certificate"] == "kernel"
     rng = seeded(139)
@@ -261,7 +263,7 @@ def test_report_deficient_cells_are_exact_never_implied():
                 seen += 1
                 assert (rec.certificate, rec.implied_by) == ("kernel", None)
             elif rec.certificate == "implied":
-                assert report.map_at(*rec.implied_by).full_rank
+                assert map_at(report, *rec.implied_by).full_rank
 
 
 def test_report_rejects_wrong_length_coefficients():
@@ -399,6 +401,19 @@ def test_power_table_over_the_work_budget_is_refused():
     assert len(standard_monomials(ideal, 6)) == 1716
     with pytest.raises(ValueError, match="budget"):
         lefschetz_report(ideal)
+
+
+def test_report_works_on_the_variables_that_survive_in_the_quotient():
+    # x3, ..., x300 lie in the ideal: the full basis, 3,600 rows of 300
+    # exponents, is over the budget, but the report enumerates only x1, x2
+    ideal = MaciSpec([60, 60] + [1] * 298, [1, 1] + [0] * 298).ideal()
+    with pytest.raises(ValueError, match="budget"):
+        standard_monomial_table(ideal)
+    got = lefschetz_report(ideal, [3, 5] + [7] * 298)
+    want = lefschetz_report(MaciSpec([60, 60], [1, 1]).ideal(), [3, 5])
+    assert got.series == want.series
+    assert [rec.as_dict() for rec in got.maps] == [rec.as_dict() for rec in want.maps]
+    assert multiplication_matrix(ideal, 3, 2) == multiplication_matrix(want.ideal, 3, 2)
 
 
 def test_report_socle_21_symmetric_spec_has_slp():
