@@ -56,7 +56,7 @@ def classify_support_two(spec) -> ClassificationVerdict:
       * a2 < a1 + beta + 2 and (a1 = alpha + 1 or beta = 1 or
         a2 >= a1 + beta - 1).
     """
-    supp = spec.m.support
+    supp = spec.support
     if len(supp) != 2:
         raise ValueError("the extra generator must involve exactly two variables")
     i, j = supp
@@ -103,7 +103,7 @@ def symmetric_witness(spec):
     failures: consecutive climbs along a valid ordering are strictly
     positive, so a witness ordering must be the ascending sort.
     """
-    order = sorted(spec.m.support, key=lambda k: spec.a[k])
+    order = sorted(spec.support, key=lambda k: spec.a[k])
     for prev, cur in zip(order, order[1:]):
         if spec.a[cur] != spec.a[prev] + spec.m[cur]:
             return None
@@ -189,7 +189,7 @@ def csm_decomposition(spec, var=None) -> CsmDecomposition:
     line up with the ambient one.
     """
     if var is None:
-        var = max(spec.m.support, key=lambda k: (spec.a[k], k))
+        var = max(spec.support, key=lambda k: (spec.a[k], k))
     if not 0 <= var < spec.n:
         raise ValueError("variable index out of range")
     rest = [k for k in range(spec.n) if k != var]
@@ -250,7 +250,7 @@ def classify_maci(spec):
 
     A symmetric spec is certified by slp_symmetric.
     """
-    if len(spec.m.support) == 2:
+    if len(spec.support) == 2:
         return classify_support_two(spec)
     witness = symmetric_witness(spec)
     if witness is None:
@@ -311,37 +311,30 @@ def symmetric_grid(n_values, max_socle, max_exp=None):
     Support exponents form an ascending chain climbing by the matching extra
     exponents; the chain is assigned to every choice of support positions in
     every order, and non-support exponents fill in freely within the socle
-    budget.
+    budget.  A spec's socle degree is climbs[0] + sum(values[1:]) - size +
+    sum(e - 1) over its non-support exponents e, so none needs filtering.
     """
     cap = max_exp if max_exp is not None else max_socle + 2
     specs = []
     for n in n_values:
-        if n < 2:
-            continue
         for size in range(2, n + 1):
+            chains = _support_chains(size, cap, max_socle)
+            free = {}  # socle budget -> the non-support exponent tuples within it
             for supp in combinations(range(n), size):
                 nonsupp = [k for k in range(n) if k not in supp]
-                for values, climbs in _support_chains(size, cap, max_socle):
+                for values, climbs in chains:
                     budget = max_socle - (climbs[0] + sum(values[1:]) - size)
-                    free = [
-                        extras
-                        for extras in product(range(1, cap + 1), repeat=len(nonsupp))
-                        if sum(e - 1 for e in extras) <= budget
-                    ]
+                    if budget not in free:
+                        tuples = product(range(1, cap + 1), repeat=n - size)
+                        free[budget] = [e for e in tuples if sum(e) - n + size <= budget]
+                    a, m = [0] * n, [0] * n
                     for assign in permutations(range(size)):
-                        base_a = {k: values[assign[pos]] for pos, k in enumerate(supp)}
-                        base_m = {k: climbs[assign[pos]] for pos, k in enumerate(supp)}
-                        for extras in free:
-                            a = [0] * n
-                            m = [0] * n
-                            for k in supp:
-                                a[k] = base_a[k]
-                                m[k] = base_m[k]
+                        for pos, k in enumerate(supp):
+                            a[k], m[k] = values[assign[pos]], climbs[assign[pos]]
+                        for extras in free[budget]:
                             for k, e in zip(nonsupp, extras):
                                 a[k] = e
-                            spec = MaciSpec(a, m)
-                            if spec.socle_degree() <= max_socle:
-                                specs.append(spec)
+                            specs.append(MaciSpec(a, m))
     return specs
 
 

@@ -4,6 +4,13 @@ Everything here is exact integer combinatorics.  Ideals are held by their
 unique minimal generating set, and Artinian quotients expose their monomial
 basis degree by degree as int64 exponent arrays in a fixed order, so that
 matrices built elsewhere are reproducible.
+
+This module alone decides which minimal generators are pure powers
+x_j^(a_j) and which are cross generators; MonomialIdeal records the split
+once, as ``bounds`` and ``cross``.  The split also makes minimalize one
+pass: the least pure power per variable is kept without a pairwise test, a
+cross generator is dropped when one comparison g_j >= a_j finds a kept
+bound dividing it, and only cross generators are compared pairwise.
 """
 
 from __future__ import annotations
@@ -49,9 +56,6 @@ class Monomial(tuple):
     def is_unit(self) -> bool:
         return not any(self)
 
-    def is_pure_power(self) -> bool:
-        return len(self.support) == 1
-
     def divides(self, other) -> bool:
         return all(a <= b for a, b in zip(self, other))
 
@@ -72,21 +76,34 @@ def minimalize(gens) -> frozenset:
     """Divisibility-minimal subset of a set of monomials.
 
     Idempotent and independent of input order; the result is the unique
-    minimal generating set of the ideal the input generates.
+    minimal generating set of the ideal the input generates.  Cost:
+    O(g n + c^2 n) for g generators in n variables, c of them cross.
     """
-    mons = {g if isinstance(g, Monomial) else Monomial(g) for g in gens}
+    least = {}  # variable j -> the least pure power of x_{j+1}
+    cross = []
+    for g in {g if isinstance(g, Monomial) else Monomial(g) for g in gens}:
+        support = g.support
+        if not support:  # the unit monomial absorbs everything
+            return frozenset((g,))
+        if len(support) == 1:  # tuple order is exponent order here
+            least[support[0]] = min(least.get(support[0], g), g)
+        else:
+            cross.append(g)
     kept = []
     # ascending degree: any proper divisor is seen before its multiples
-    for g in sorted(mons, key=lambda m: (m.degree, m)):
-        if not any(h.divides(g) for h in kept):
-            kept.append(g)
-    return frozenset(kept)
+    for g in sorted(cross, key=lambda m: (m.degree, m)):
+        if not any(g[j] >= p[j] for j, p in least.items()):
+            if not any(h.divides(g) for h in kept):
+                kept.append(g)
+    return frozenset(kept + list(least.values()))
 
 
 class MonomialIdeal:
-    """A monomial ideal in n variables, stored by its minimal generators."""
+    """A monomial ideal in n variables, stored by its minimal generators and
+    split into ``bounds`` (a_j with x_{j+1}^(a_j) a generator, or None per
+    variable) and the other, ``cross`` generators in sorted_generators order."""
 
-    __slots__ = ("n", "generators", "_bounds")
+    __slots__ = ("n", "generators", "bounds", "cross")
 
     def __init__(self, n, generators):
         n = int(n)
@@ -100,12 +117,14 @@ class MonomialIdeal:
             gens.append(g)
         self.n = n
         self.generators = minimalize(gens)
-        bounds = [None] * n
-        for g in self.generators:
+        bounds, cross = [None] * n, []
+        for g in self.sorted_generators():
             support = g.support
             if len(support) == 1:
                 bounds[support[0]] = g[support[0]]
-        self._bounds = tuple(bounds)
+            else:
+                cross.append(g)
+        self.bounds, self.cross = tuple(bounds), tuple(cross)
 
     def __eq__(self, other):
         return (
@@ -129,11 +148,7 @@ class MonomialIdeal:
         return not self.generators
 
     def is_unit(self) -> bool:
-        return any(g.is_unit() for g in self.generators)
-
-    def pure_power_bound(self, i):
-        """Exponent a with x_{i+1}^a a generator, or None."""
-        return self._bounds[i]
+        return bool(self.cross) and self.cross[0].is_unit()  # then the only generator
 
     def is_artinian(self) -> bool:
         """True iff the quotient is finite dimensional.
@@ -141,7 +156,7 @@ class MonomialIdeal:
         For a monomial ideal this happens exactly when every variable has a
         pure power among the generators (or the ideal is the unit ideal).
         """
-        return self.is_unit() or None not in self._bounds
+        return self.is_unit() or None not in self.bounds
 
 
 def colon_by_monomial(ideal, m) -> MonomialIdeal:
@@ -174,7 +189,8 @@ def parse_ideal(text, n=None) -> MonomialIdeal:
         uint   := [0-9]+          (ASCII digits only)
 
     Whitespace is insignificant.  The variable count is ``n`` when given,
-    otherwise the highest index that occurs.
+    otherwise the highest index that occurs, at most MAX_VAR_INDEX; the g n
+    exponents of g generators are counted against the work budget first.
     """
     gens = []
     pos = 0
@@ -234,8 +250,11 @@ def parse_ideal(text, n=None) -> MonomialIdeal:
     width = 1 + max(max(d) for d in gens)
     if n is None:
         n = width
+    elif n > MAX_VAR_INDEX:
+        raise ValueError(f"the declared variable count {n} exceeds {MAX_VAR_INDEX}")
     elif width > n:
         raise ValueError(f"text uses x{width} but the declared variable count is {n}")
+    check_table_size((len(gens), n))
     mons = [Monomial(tuple(d.get(i, 0) for i in range(n))) for d in gens]
     return MonomialIdeal(n, mons)
 
@@ -271,8 +290,8 @@ def standard_monomial_table(ideal):
         raise ValueError("standard monomials form an infinite set for a non-Artinian ideal")
     if ideal.is_unit():
         return ()
-    bounds = [ideal.pure_power_bound(j) for j in range(ideal.n)]
-    check_table_size(bounds + [ideal.n])
+    bounds = ideal.bounds
+    check_table_size(bounds + (ideal.n,))
     active = [j for j, a in enumerate(bounds) if a > 1]
     radix = [bounds[j] for j in active]
     # box rows in descending lex order: mixed-radix digits of a falling count
@@ -280,9 +299,8 @@ def standard_monomial_table(ideal):
     box = np.empty((code.size, len(active)), dtype=np.int64)
     for col in range(len(active) - 1, -1, -1):
         code, box[:, col] = np.divmod(code, radix[col])
-    for g in ideal.generators:
-        if not g.is_pure_power():
-            box = box[(box < [g[j] for j in active]).any(axis=1)]
+    for g in ideal.cross:
+        box = box[(box < [g[j] for j in active]).any(axis=1)]
     degree = box.sum(axis=1)
     basis = np.zeros((len(box), ideal.n), dtype=np.int64)
     basis[:, active] = box[np.argsort(degree, kind="stable")]

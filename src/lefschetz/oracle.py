@@ -65,7 +65,7 @@ from math import factorial, isqrt, lcm
 
 import numpy as np
 
-from .core import MonomialIdeal, check_table_size, standard_monomial_table
+from .core import MonomialIdeal, check_table_size, pure_power, standard_monomial_table
 from .series import HilbertSeries
 
 _PRIME = 2_147_483_647  # 2^31 - 1; products of two residues fit in int64
@@ -133,13 +133,14 @@ def _power_table(ideal, coefficients=None):
         raise ValueError("standard monomials form an infinite set for a non-Artinian ideal")
     if ideal.is_unit():  # no monomials and no entries
         return (), np.zeros(0, dtype=object), 0
-    bounds = [ideal.pure_power_bound(j) for j in range(n)]
-    check_table_size([2 * a - 1 for a in bounds])
+    check_table_size([2 * a - 1 for a in ideal.bounds])
     # when every a_j is 1 the quotient is the field, kept on the axis of x1
-    axes = [j for j, a in enumerate(bounds) if a > 1] or [0]
-    gens = [[g[j] for j in axes] for g in ideal.generators if any(g[j] for j in axes)]
+    axes = [j for j, a in enumerate(ideal.bounds) if a > 1] or [0]
+    bounds = [ideal.bounds[j] for j in axes]
+    # a minimal cross generator has no exponent on an x_j with a_j = 1
+    gens = [pure_power(len(axes), k, a) for k, a in enumerate(bounds)]
+    gens += [[g[j] for j in axes] for g in ideal.cross]
     basis = standard_monomial_table(MonomialIdeal(len(axes), gens))
-    bounds = [bounds[j] for j in axes]
     coefficients = [coefficients[j] for j in axes]
     fact = [factorial(k) for k in range(sum(bounds) - len(axes) + 1)]
     degree = np.zeros((), dtype=np.int64)
@@ -375,17 +376,9 @@ class MapRecord:
     implied_by: object = None  # (i, t) of the proven cell implying this one
 
     def as_dict(self):
-        return {
-            "i": self.i,
-            "t": self.t,
-            "dim_src": self.dim_src,
-            "dim_tgt": self.dim_tgt,
-            "rank": self.rank,
-            "full_rank": self.full_rank,
-            "reason": self.reason,
-            "certificate": self.certificate,
-            "implied_by": None if self.implied_by is None else list(self.implied_by),
-        }
+        record = dict(vars(self))  # the fields, in declaration order
+        record["implied_by"] = None if self.implied_by is None else list(self.implied_by)
+        return record
 
 
 @dataclass

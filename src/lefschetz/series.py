@@ -31,22 +31,15 @@ class HilbertSeries:
 
     def __init__(self, coeffs, offset=0):
         cs = [int(c) for c in coeffs]
-        for c in cs:
-            if c < 0:
-                raise ValueError("negative coefficient in Hilbert series")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        lead = 0
-        while lead < len(cs) and cs[lead] == 0:
-            lead += 1
-        if lead:
-            cs = cs[lead:]
-        if not cs:
+        if any(c < 0 for c in cs):
+            raise ValueError("negative coefficient in Hilbert series")
+        nonzero = [k for k, c in enumerate(cs) if c]
+        if not nonzero:
             self.offset = 0
             self.coeffs = ()
         else:
-            self.offset = int(offset) + lead
-            self.coeffs = tuple(cs)
+            self.offset = int(offset) + nonzero[0]
+            self.coeffs = tuple(cs[nonzero[0] : nonzero[-1] + 1])
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -189,10 +182,9 @@ def hilbert_series(ideal) -> HilbertSeries:
         raise ValueError("Hilbert series requires an Artinian ideal")
     if ideal.is_unit():
         return HilbertSeries(())
-    cross = [g for g in ideal.generators if not g.is_pure_power()]
-    if not cross:
-        return ci_series([ideal.pure_power_bound(i) for i in range(ideal.n)])
-    m = max(cross, key=lambda g: (g.degree, tuple(g)))
+    if not ideal.cross:
+        return ci_series(ideal.bounds)
+    m = max(ideal.cross, key=lambda g: (g.degree, tuple(g)))
     rest = MonomialIdeal(ideal.n, [g for g in ideal.generators if g != m])
     quot = colon_by_monomial(rest, m)
     return hilbert_series(rest) - hilbert_series(quot).shifted(m.degree)
@@ -206,7 +198,7 @@ class MaciSpec:
     Artinian ideal with exactly n + 1 minimal generators.
     """
 
-    __slots__ = ("n", "a", "m")
+    __slots__ = ("n", "a", "m", "support")
 
     def __init__(self, a, m):
         a = tuple(int(x) for x in a)
@@ -221,11 +213,13 @@ class MaciSpec:
                 raise ValueError("pure power exponents must be >= 1")
             if not mi < ai:
                 raise ValueError("the extra generator needs m_i < a_i for every i")
-        if len(m.support) < 2:
+        support = m.support
+        if len(support) < 2:
             raise ValueError("the extra generator must involve at least two variables")
         self.n = n
         self.a = a
         self.m = m
+        self.support = support
 
     def __eq__(self, other):
         return (
@@ -250,6 +244,7 @@ class MaciSpec:
         return tuple(sorted(zip(self.a, self.m)))
 
     def ideal(self) -> MonomialIdeal:
+        check_table_size((self.n, self.n + 1))  # dense exponents of n + 1 generators
         gens = [pure_power(self.n, i, self.a[i]) for i in range(self.n)]
         gens.append(self.m)
         return MonomialIdeal(self.n, gens)
@@ -267,7 +262,7 @@ class MaciSpec:
         basis element drops exactly one support variable down to m_i - 1;
         the cheapest drop wins.
         """
-        slack = min(self.a[i] - self.m[i] for i in self.m.support)
+        slack = min(self.a[i] - self.m[i] for i in self.support)
         return sum(self.a) - self.n - slack
 
     def as_dict(self):
@@ -293,15 +288,10 @@ class MaciSpec:
 
 def maci_from_ideal(ideal) -> MaciSpec:
     """Recover the (pure powers, extra generator) presentation, or raise."""
-    bounds = []
-    for i in range(ideal.n):
-        b = ideal.pure_power_bound(i)
-        if b is None:
-            raise ValueError("not Artinian: missing a pure power")
-        bounds.append(b)
-    extra = [g for g in ideal.generators if not g.is_pure_power()]
-    if len(extra) != 1:
+    if None in ideal.bounds:
+        raise ValueError("not Artinian: missing a pure power")
+    if len(ideal.cross) != 1:
         raise ValueError(
-            f"expected exactly one non-pure-power generator, found {len(extra)}"
+            f"expected exactly one non-pure-power generator, found {len(ideal.cross)}"
         )
-    return MaciSpec(bounds, extra[0])
+    return MaciSpec(ideal.bounds, ideal.cross[0])

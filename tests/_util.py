@@ -40,6 +40,22 @@ SHAPE_SLANT_2 = "slant_2"
 SHAPE_SLANT_3 = "slant_3"
 
 
+def is_pure_power(m):
+    """Whether the monomial m is a power of a single variable."""
+    return len(m.support) == 1
+
+
+def minimalize_pairwise(gens):
+    """Reference minimalization: every generator, in ascending degree, is
+    compared with every one kept before it across all exponents."""
+    mons = {g if isinstance(g, Monomial) else Monomial(g) for g in gens}
+    kept = []
+    for g in sorted(mons, key=lambda m: (m.degree, m)):
+        if not any(h.divides(g) for h in kept):
+            kept.append(g)
+    return frozenset(kept)
+
+
 @lru_cache(maxsize=256)
 def standard_monomial_table_by_product(ideal):
     """Reference basis: standard monomials of R/I as Monomials bucketed by
@@ -47,8 +63,8 @@ def standard_monomial_table_by_product(ideal):
     each bucket in graded lex order (x1 largest)."""
     if ideal.is_unit():
         return ()
-    bounds = [ideal.pure_power_bound(i) for i in range(ideal.n)]
-    cross = [tuple(g) for g in ideal.generators if not g.is_pure_power()]
+    bounds = ideal.bounds
+    cross = [tuple(g) for g in ideal.generators if not is_pure_power(g)]
     buckets = [[] for _ in range(sum(bounds) - ideal.n + 1)]
     ranges = [range(b - 1, -1, -1) for b in bounds]
     for exps in product(*ranges):

@@ -55,6 +55,26 @@ def test_hilbert_rejects_non_artinian(capsys):
     assert "Artinian" in err
 
 
+def test_declared_variable_count_is_capped_before_any_monomial(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--nvars", "3000000", "hilbert", "x1^2")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err == "error: the declared variable count 3000000 exceeds 10000\n"
+
+
+def test_survey_refuses_a_spec_whose_ideal_is_over_the_work_budget(tmp_path, capsys):
+    # one spec, but its ideal holds 10^4 * (10^4 + 1) dense exponents
+    grid = json.dumps({"family": "support_two", "n": 10_000, "max_exp": 2, "extra_exp": 1})
+    out_path = tmp_path / "rows.csv"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "survey", grid, "--out", str(out_path))
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err == "error: a table of 100010000 entries exceeds the budget of 1000000\n"
+    assert not out_path.exists()
+
+
 def test_hilbert_rejects_bad_syntax(capsys):
     code, _, err = run(capsys, "hilbert", "x1^^2")
     assert code == 1

@@ -1,5 +1,7 @@
 """Monomial arithmetic, parsing, colon ideals, bases and Hilbert series."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from lefschetz import (
 )
 from _util import (
     hilbert_series_by_counting,
+    is_pure_power,
+    minimalize_pairwise,
     plus_monomial,
     rand_artinian_ideal,
     rand_maci,
@@ -41,8 +45,8 @@ def test_monomial_basics():
     m = Monomial((2, 0, 1))
     assert m.degree == 3
     assert m.support == (0, 2)
-    assert not m.is_unit() and not m.is_pure_power()
-    assert Monomial((0, 3, 0)).is_pure_power()
+    assert not m.is_unit() and not is_pure_power(m)
+    assert is_pure_power(Monomial((0, 3, 0)))
     assert Monomial((2, 0, 1)).divides((2, 1, 1))
     assert not Monomial((2, 0, 1)).divides((1, 5, 5))
     assert times(m, (0, 1, 0)) == Monomial((2, 1, 1))
@@ -117,6 +121,59 @@ def test_minimalize_idempotent_small():
         assert minimalize(gens) == once
 
 
+def test_minimalize_and_the_split_match_the_pairwise_reference():
+    rng = seeded(13)
+    for trial in range(600):
+        n = rng.randint(1, 6)
+        gens = [rand_monomial(rng, n, 4) for _ in range(rng.randint(1, 8))]
+        # pure powers of one variable at several exponents
+        j = rng.randrange(n)
+        gens += [pure_power(n, j, rng.randint(1, 6)) for _ in range(rng.randint(0, 3))]
+        gens += rng.sample(gens, rng.randint(0, len(gens)))  # duplicates
+        if trial % 50 == 0:
+            gens.append(Monomial((0,) * n))
+        want = minimalize_pairwise(gens)
+        assert minimalize(gens) == want, gens
+        ideal = MonomialIdeal(n, gens)
+        assert ideal.generators == want
+        # the split, recounted from the generators
+        bounds = [None] * n
+        for g in want:
+            if is_pure_power(g):
+                bounds[g.support[0]] = g[g.support[0]]
+        cross = [g for g in ideal.sorted_generators() if not is_pure_power(g)]
+        assert ideal.bounds == tuple(bounds), gens
+        assert ideal.cross == tuple(cross), gens
+        assert ideal.is_unit() == (Monomial((0,) * n) in want)
+
+
+def test_unit_monomial_absorbs_every_generator():
+    unit = Monomial((0, 0, 0))
+    gens = [unit, Monomial((2, 0, 0)), Monomial((1, 1, 0)), unit]
+    assert minimalize(gens) == frozenset({unit})
+    ideal = MonomialIdeal(3, gens)
+    assert ideal.bounds == (None, None, None) and ideal.cross == (unit,)
+    assert ideal.is_unit() and ideal.is_artinian()
+
+
+def test_ideal_of_many_vanishing_variables_builds_fast():
+    # 601 generators in 600 variables: no pairwise scan over all exponents
+    start = time.perf_counter()
+    ideal = MaciSpec([60, 60] + [1] * 598, [1, 1] + [0] * 598).ideal()
+    assert time.perf_counter() - start < 1
+    assert ideal.bounds == (60, 60) + (1,) * 598
+    assert ideal.cross == (Monomial((1, 1) + (0,) * 598),)
+
+
+def test_dense_generators_are_counted_against_the_work_budget():
+    with pytest.raises(ValueError, match="budget"):
+        MaciSpec([2] * 1000, [1, 1] + [0] * 998).ideal()  # 1000 * 1001 exponents
+    with pytest.raises(ValueError, match="budget"):
+        parse_ideal(", ".join(f"x{j}^2" for j in range(1, 1002)), n=1001)
+    with pytest.raises(ValueError, match="exceeds 10000"):
+        parse_ideal("x1^2", n=10_001)
+
+
 def test_colon_two_variable_example():
     # (x^a, y^b, x^alpha y^beta) : x^alpha = (x^(a-alpha), y^beta)
     a, b, alpha, beta = 5, 4, 2, 2
@@ -182,10 +239,10 @@ def test_standard_monomials_refuse_a_box_over_the_work_budget():
 
 def test_pure_power_bounds():
     ideal = parse_ideal("x1^5, x1^3, x3^2, x1*x2", n=3)
-    assert [ideal.pure_power_bound(i) for i in range(3)] == [3, None, 2]
+    assert [ideal.bounds[i] for i in range(3)] == [3, None, 2]
     assert not ideal.is_artinian()
     closed = plus_monomial(ideal, pure_power(3, 1, 4))
-    assert [closed.pure_power_bound(i) for i in range(3)] == [3, 4, 2]
+    assert [closed.bounds[i] for i in range(3)] == [3, 4, 2]
     assert closed.is_artinian()
     assert MonomialIdeal(2, [Monomial((0, 0))]).is_artinian()
 
