@@ -27,7 +27,6 @@ from .core import (
     IdealSyntaxError,
     Monomial,
     MonomialIdeal,
-    colon_by_monomial,
     minimalize,
     parse_ideal,
     pure_power,

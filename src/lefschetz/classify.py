@@ -114,7 +114,8 @@ def symmetric_witness(spec):
 class CsmPiece:
     """A central simple module slice: a quotient in n-1 variables held as
     exponent data, a MaciSpec or complete-intersection exponents, whose
-    series is the matching closed form.  The ideal is built only for display.
+    series is the matching closed form.  The ideal is built only for display,
+    once per piece.
     """
 
     quotient: object  # MaciSpec, or a tuple of complete-intersection exponents
@@ -127,11 +128,12 @@ class CsmPiece:
             return self.quotient.series()
         return ci_series(self.quotient)
 
-    @property
+    @cached_property
     def ideal(self) -> MonomialIdeal:
         if isinstance(self.quotient, MaciSpec):
             return self.quotient.ideal()
         n = len(self.quotient)
+        check_table_size((n, n))  # dense exponents of n pure powers
         return MonomialIdeal(n, [pure_power(n, i, e) for i, e in enumerate(self.quotient)])
 
     def widened_series(self) -> HilbertSeries:

@@ -52,6 +52,13 @@ def _load_ideal(text, nvars=None):
     return parse_ideal(text, n=nvars)
 
 
+def _load_spec(text, nvars=None):
+    """A MaciSpec straight from a JSON spec, or recovered from ideal text."""
+    if text.strip().startswith("{"):
+        return MaciSpec.from_dict(_load_json(text))
+    return maci_from_ideal(parse_ideal(text, n=nvars))
+
+
 def _load_grid(text):
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
@@ -215,8 +222,7 @@ def cmd_check(args):
 
 
 def cmd_classify(args):
-    ideal = _load_ideal(args.ideal, args.nvars)
-    spec = maci_from_ideal(ideal)
+    spec = _load_spec(args.ideal, args.nvars)
     verdict = classify_maci(spec)
     if verdict is None:
         # no closed-form rule covers this spec; fall back to the oracle
@@ -238,12 +244,11 @@ def cmd_classify(args):
 
 
 def cmd_csm(args):
-    ideal = _load_ideal(args.ideal, args.nvars)
-    spec = maci_from_ideal(ideal)
+    spec = _load_spec(args.ideal, args.nvars)
     var = None if args.var is None else args.var - 1
     dec = csm_decomposition(spec, var)
     total = dec.total_series()
-    series = hilbert_series(ideal)
+    series = spec.series()
     if total != series:
         raise HypothesisViolation(
             f"widened piece series sum to {total.as_dict()} but the quotient has {series.as_dict()}"

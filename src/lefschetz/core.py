@@ -59,10 +59,6 @@ class Monomial(tuple):
     def divides(self, other) -> bool:
         return all(a <= b for a, b in zip(self, other))
 
-    def quotient_by(self, other) -> "Monomial":
-        """Exponentwise max(a - b, 0), i.e. self / gcd(self, other)."""
-        return Monomial(max(a - b, 0) for a, b in zip(self, other))
-
     def __repr__(self):
         return f"Monomial{tuple(self)}"
 
@@ -157,16 +153,6 @@ class MonomialIdeal:
         pure power among the generators (or the ideal is the unit ideal).
         """
         return self.is_unit() or None not in self.bounds
-
-
-def colon_by_monomial(ideal, m) -> MonomialIdeal:
-    """The quotient ideal I : (m).
-
-    For a monomial ideal this is generated by g / gcd(g, m) over the
-    generators g, i.e. exponentwise max(g_i - m_i, 0).
-    """
-    m = m if isinstance(m, Monomial) else Monomial(m)
-    return MonomialIdeal(ideal.n, (g.quotient_by(m) for g in ideal.generators))
 
 
 class IdealSyntaxError(ValueError):

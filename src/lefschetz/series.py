@@ -2,9 +2,9 @@
 
 A series is a dense vector of nonnegative integer coefficients together with
 a degree offset; the offset stays 0 for honest quotient algebras and records
-the grading shift of submodule slices.  Complete intersections get the closed
-product form, and one extra generator is split off by ideal-quotient
-additivity.
+the grading shift of submodule slices.  There are two routes to a series:
+closed forms, the product form of a complete intersection and MaciSpec.series
+for one extra generator, and otherwise a count of the standard-monomial basis.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from .core import (
     Monomial,
     MonomialIdeal,
     check_table_size,
-    colon_by_monomial,
     pure_power,
+    standard_monomial_table,
 )
 
 
@@ -137,10 +137,6 @@ class HilbertSeries:
     def as_dict(self):
         return {"offset": self.offset, "coeffs": list(self.coeffs)}
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(data["coeffs"], data.get("offset", 0))
-
     def __repr__(self):
         return f"HilbertSeries({list(self.coeffs)}, offset={self.offset})"
 
@@ -171,12 +167,10 @@ def _ci_series(exponents) -> HilbertSeries:
 def hilbert_series(ideal) -> HilbertSeries:
     """Exact Hilbert series of R/I for an Artinian monomial ideal I.
 
-    Complete intersections use the closed product form.  Otherwise a
-    non-pure-power generator m is split off via the ideal-quotient identity
-
-        HS(R/K) = HS(R/(K + (m))) + t^deg(m) * HS(R/(K : m)),
-
-    which for an almost complete intersection resolves in a single step.
+    With no cross generator I is a complete intersection and with one it is
+    an almost complete intersection; both have closed forms.  Any other
+    ideal is answered by counting its standard monomials per degree, so a
+    basis of more than MAX_TABLE_ENTRIES exponents (n prod a_j) is refused.
     """
     if not ideal.is_artinian():
         raise ValueError("Hilbert series requires an Artinian ideal")
@@ -184,10 +178,9 @@ def hilbert_series(ideal) -> HilbertSeries:
         return HilbertSeries(())
     if not ideal.cross:
         return ci_series(ideal.bounds)
-    m = max(ideal.cross, key=lambda g: (g.degree, tuple(g)))
-    rest = MonomialIdeal(ideal.n, [g for g in ideal.generators if g != m])
-    quot = colon_by_monomial(rest, m)
-    return hilbert_series(rest) - hilbert_series(quot).shifted(m.degree)
+    if len(ideal.cross) == 1:
+        return maci_from_ideal(ideal).series()
+    return HilbertSeries([len(bucket) for bucket in standard_monomial_table(ideal)])
 
 
 class MaciSpec:

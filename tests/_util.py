@@ -15,6 +15,7 @@ from lefschetz import (
     MapRecord,
     Monomial,
     MonomialIdeal,
+    ci_series,
     hilbert_series,
     is_symmetric,
     matrix_rank,
@@ -108,9 +109,35 @@ def map_at(report, i, t):
 
 def hilbert_series_by_counting(ideal):
     """The Hilbert series by counting standard monomials per degree: the
-    enumeration route, independent of the closed forms and the colon
-    recursion of hilbert_series."""
+    enumeration route, independent of the closed forms."""
     return HilbertSeries([len(bucket) for bucket in standard_monomial_table(ideal)])
+
+
+def colon_by_monomial(ideal, m):
+    """The quotient ideal I : (m), generated by g / gcd(g, m) over the
+    generators g, i.e. exponentwise max(g_i - m_i, 0)."""
+    return MonomialIdeal(
+        ideal.n, (Monomial(max(a - b, 0) for a, b in zip(g, m)) for g in ideal.generators)
+    )
+
+
+def hilbert_series_by_colon(ideal):
+    """Reference series by ideal-quotient splitting: each cross generator m
+    is split off in turn via
+
+        HS(R/K) = HS(R/(K + (m))) + t^deg(m) * HS(R/(K : m)),
+
+    down to complete intersections, whose series is the product form."""
+    if not ideal.is_artinian():
+        raise ValueError("Hilbert series requires an Artinian ideal")
+    if ideal.is_unit():
+        return HilbertSeries(())
+    if not ideal.cross:
+        return ci_series(ideal.bounds)
+    m = max(ideal.cross, key=lambda g: (g.degree, tuple(g)))
+    rest = MonomialIdeal(ideal.n, [g for g in ideal.generators if g != m])
+    quot = colon_by_monomial(rest, m)
+    return hilbert_series_by_colon(rest) - hilbert_series_by_colon(quot).shifted(m.degree)
 
 
 def render_ideal(ideal):

@@ -13,7 +13,6 @@ from lefschetz import (
     Monomial,
     MonomialIdeal,
     classify_support_two,
-    colon_by_monomial,
     csm_decomposition,
     hilbert_series,
     is_almost_centered,
@@ -30,6 +29,7 @@ from lefschetz import (
 from lefschetz.classify import all_maci_grid
 from lefschetz.cli import main
 from _util import (
+    colon_by_monomial,
     is_symmetric_maci,
     is_unimodal,
     plus_monomial,

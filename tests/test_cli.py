@@ -450,6 +450,38 @@ def test_series_over_the_work_budget_is_refused(capsys, argv):
     assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
 
 
+def _wide_spec(n):
+    # a = (2, 3, 1, ..., 1), m = (1, 1, 0, ..., 0) in n variables
+    return json.dumps({"a": [2, 3] + [1] * (n - 2), "m": [1, 1] + [0] * (n - 2)})
+
+
+def test_classify_reads_a_json_spec_without_building_its_ideal(capsys):
+    # the ideal of 1,000 variables would hold 1000 * 1001 dense exponents
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--json", "classify", _wide_spec(1000))
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rule"] == "n_eq_2"
+
+
+def test_csm_refuses_a_piece_ideal_over_the_work_budget(capsys):
+    # the complete-intersection head piece would be displayed with 1999^2 exponents
+    start = time.perf_counter()
+    code, out, err = run(capsys, "csm", _wide_spec(2000))
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err == "error: a table of 3996001 entries exceeds the budget of 1000000\n"
+
+
+def test_hilbert_counts_two_cross_generators_within_the_work_budget(capsys):
+    # no closed form: 3 * 200^3 basis exponents would be enumerated
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hilbert", "x1^200, x2^200, x3^200, x1*x2, x2*x3")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err == "error: a table of 24000000 entries exceeds the budget of 1000000\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_survey_rejects_bad_jobs(tmp_path, capsys, jobs):
     grid = json.dumps({"family": "support_two", "n": [2, 2], "max_exp": 3})
