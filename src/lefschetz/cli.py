@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 from .analysis import is_almost_centered, is_symmetric
 from .classify import classify_maci, csm_decomposition, grid_from_json
-from .core import parse_ideal, render_monomial
+from .core import check_table_size, parse_ideal, render_monomial
 from .oracle import HypothesisViolation, lefschetz_report, multiplication_matrix
 from .series import MaciSpec, hilbert_series, maci_from_ideal
 
@@ -123,7 +123,8 @@ def survey_rows(specs, jobs=1):
 
     At most jobs worker processes are started, and never more than there
     are cores or chunks of classes; with one worker the sweep runs
-    in-process.
+    in-process.  Before any starts, the n (n + 1) dense exponents of the
+    ideals the rows will build are counted against the work budget.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -132,6 +133,7 @@ def survey_rows(specs, jobs=1):
     for index, spec in enumerate(specs):
         first.setdefault(spec.relabeling_class(), index)
     keys = [(specs[i].a, tuple(specs[i].m)) for i in first.values()]
+    check_table_size((sum(len(a) * (len(a) + 1) for a, _ in keys),))
     chunks = -(-len(keys) // _SURVEY_CHUNK)
     workers = min(jobs, os.cpu_count() or 1, chunks)
     if workers > 1:

@@ -99,7 +99,7 @@ class MonomialIdeal:
     split into ``bounds`` (a_j with x_{j+1}^(a_j) a generator, or None per
     variable) and the other, ``cross`` generators in sorted_generators order."""
 
-    __slots__ = ("n", "generators", "bounds", "cross")
+    __slots__ = ("n", "generators", "bounds", "cross", "_sorted")
 
     def __init__(self, n, generators):
         n = int(n)
@@ -113,8 +113,13 @@ class MonomialIdeal:
             gens.append(g)
         self.n = n
         self.generators = minimalize(gens)
+        # by degree, then lexicographically descending: distinct tuples, so
+        # the descending sort fixes every tie the stable degree sort leaves
+        ordered = sorted(self.generators, reverse=True)
+        ordered.sort(key=sum)
+        self._sorted = tuple(ordered)
         bounds, cross = [None] * n, []
-        for g in self.sorted_generators():
+        for g in self._sorted:
             support = g.support
             if len(support) == 1:
                 bounds[support[0]] = g[support[0]]
@@ -137,8 +142,9 @@ class MonomialIdeal:
         return f"MonomialIdeal(n={self.n}, [{gens}])"
 
     def sorted_generators(self):
-        """Generators in a fixed order: by degree, then lexicographically."""
-        return sorted(self.generators, key=lambda g: (g.degree, tuple(-e for e in g)))
+        """Generators in a fixed order: by degree, then lexicographically
+        (x1 largest), as a tuple sorted once."""
+        return self._sorted
 
     def is_zero(self) -> bool:
         return not self.generators

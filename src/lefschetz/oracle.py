@@ -11,9 +11,12 @@ l^|d|, for every exponent difference d that two standard monomials can
 have (see ``_power_table``); the report's Hilbert series is counted from
 the same basis, int64 exponent arrays over the variables with a_j >= 2,
 enumerated once the table's budget is checked.  The table is reduced
-modulo a word-size prime once per report, and ``_certified_rank``
+modulo a prime below 2^26 once per report, and ``_certified_rank``
 eliminates each ranked cell once modulo the prime, in its narrower
-orientation (the cell or its transpose, whichever has fewer columns).
+orientation (the cell or its transpose, whichever has fewer columns).  A
+product of two residues then stays below 2^52, so the elimination
+subtracts about 2^11 rank-one updates from its trailing block before that
+block must be reduced, instead of reducing it after every pivot.
 That can only underestimate the rank over Q, so whenever it reports
 min(dim) the map is proven to have full rank.  Below that, the rank r mod
 p is still a proven lower bound, and the matching upper bound comes from
@@ -68,18 +71,25 @@ import numpy as np
 from .core import MonomialIdeal, check_table_size, pure_power, standard_monomial_table
 from .series import HilbertSeries
 
-_PRIME = 2_147_483_647  # 2^31 - 1; products of two residues fit in int64
-# the largest primes below 2^31, for Chinese remaindering of kernel vectors
+_PRIME = 67_108_859  # the largest prime below 2^26; see _REDUCE_EVERY
+# the largest primes below 2^26, for Chinese remaindering of kernel vectors;
+# their product (about 2^260) bounds the fractions rational reconstruction finds
 _PRIMES = (
     _PRIME,
-    2_147_483_629,
-    2_147_483_587,
-    2_147_483_579,
-    2_147_483_563,
-    2_147_483_549,
-    2_147_483_543,
-    2_147_483_497,
+    67_108_837,
+    67_108_819,
+    67_108_777,
+    67_108_763,
+    67_108_757,
+    67_108_753,
+    67_108_747,
+    67_108_739,
+    67_108_729,
 )
+# pivots between reductions of an elimination's trailing block (about 2^11):
+# each subtracts at most (p - 1)^2 < 2^52 from an entry in [0, p), and the
+# entry must stay above -2^63
+_REDUCE_EVERY = (2**63 - 1 - _PRIME) // (_PRIME - 1) ** 2
 
 REASON_INJECTIVE = "injective"
 REASON_SURJECTIVE = "surjective"
@@ -224,28 +234,35 @@ def matrix_rank(matrix) -> int:
 def _echelon_mod_prime(matrix, p):
     """Pivot columns and nonzero rows of a row echelon form of an int64 matrix over F_p.
 
-    Every pivot is scaled to 1.
+    Every pivot is scaled to 1 and the rows are reduced mod p.  Reduction is
+    delayed (Dumas, Giorgi and Pernet, ACM TOMS 2008): each step reduces
+    only the pivot column, to find the pivot, and the pivot row, to scale
+    it, and subtracts their outer product from the trailing block without
+    reducing it.  An update lowers an entry by at most (p - 1)^2, so the
+    block is reduced every ``_REDUCE_EVERY`` pivots, before int64 could
+    wrap.  Entries left of the pivot column are exactly 0 below it, and the
+    rows returned were reduced as they became pivot rows.
     """
     A = np.mod(matrix, p)
     nrows, ncols = A.shape
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
-        nz = np.nonzero(A[rank:, col])[0]
+        A[rank:, col] %= p
+        nz = np.flatnonzero(A[rank:, col])
         if nz.size == 0:
             continue
         piv = rank + int(nz[0])
         if piv != rank:
             A[[rank, piv]] = A[[piv, rank]]
         inv = pow(int(A[rank, col]), p - 2, p)
-        A[rank, col:] = A[rank, col:] * inv % p
-        below = A[rank + 1 :, col]
-        A[rank + 1 :, col:] = (
-            A[rank + 1 :, col:] - below[:, None] * A[rank, col:][None, :]
-        ) % p
+        A[rank, col:] = A[rank, col:] % p * inv % p
+        A[rank + 1 :, col:] -= np.multiply.outer(A[rank + 1 :, col], A[rank, col:])
         pivots.append(col)
         if rank + 1 == nrows:
             break
+        if len(pivots) % _REDUCE_EVERY == 0:
+            A[rank + 1 :, col + 1 :] %= p
     return pivots, A[: len(pivots)]
 
 

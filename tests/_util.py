@@ -262,6 +262,35 @@ def multiplication_matrix_by_entries(ideal, i, t, coefficients=None):
     return rows
 
 
+def echelon_mod_prime_stepwise(matrix, p):
+    """Reference row echelon form over F_p that reduces the whole trailing
+    block mod p after every pivot; same contract as
+    ``oracle._echelon_mod_prime``: pivot columns and the nonzero rows, with
+    every pivot scaled to 1.
+    """
+    A = np.mod(matrix, p)
+    nrows, ncols = A.shape
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        nz = np.nonzero(A[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            A[[rank, piv]] = A[[piv, rank]]
+        inv = pow(int(A[rank, col]), p - 2, p)
+        A[rank, col:] = A[rank, col:] * inv % p
+        below = A[rank + 1 :, col]
+        A[rank + 1 :, col:] = (
+            A[rank + 1 :, col:] - below[:, None] * A[rank, col:][None, :]
+        ) % p
+        pivots.append(col)
+        if rank + 1 == nrows:
+            break
+    return pivots, A[: len(pivots)]
+
+
 def lefschetz_report_all_cells(ideal, coefficients=None):
     """Reference report that ranks every cell l^t : A_i -> A_{i+t}, i + t <= socle.
 

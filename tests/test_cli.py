@@ -10,6 +10,7 @@ from lefschetz.cli import main, survey_rows
 from lefschetz.classify import (
     HypothesisViolation,
     all_maci_grid,
+    grid_from_json,
     support_two_grid,
     symmetric_grid,
 )
@@ -73,6 +74,37 @@ def test_survey_refuses_a_spec_whose_ideal_is_over_the_work_budget(tmp_path, cap
     assert (code, out) == (1, "")
     assert err == "error: a table of 100010000 entries exceeds the budget of 1000000\n"
     assert not out_path.exists()
+
+
+def test_survey_refuses_a_grid_whose_ideals_are_over_the_work_budget(tmp_path, capsys):
+    # 998 specs pass the grid bound, but their ideals hold about 3.3 * 10^8
+    # dense exponents, counted before any row is computed
+    grid = json.dumps({"family": "support_two", "n": [2, 999], "max_exp": 2, "extra_exp": 1})
+    out_path = tmp_path / "rows.csv"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "survey", grid, "--out", str(out_path))
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err == "error: a table of 333332998 entries exceeds the budget of 1000000\n"
+    assert not out_path.exists()
+
+
+def test_survey_admits_the_benchmark_survey_grid():
+    specs = grid_from_json({"family": "symmetric", "n": [2, 4], "max_socle": 8})
+    rows = survey_rows(specs)
+    assert len(rows) == len(specs) == 4894
+    assert all(row.agreement is not False for row in rows)
+
+
+def test_csm_of_a_thousand_variable_spec_is_quick(capsys):
+    # two 999-variable complete-intersection pieces; their generators are
+    # sorted once per ideal
+    spec = json.dumps({"a": [2, 3] + [1] * 998, "m": [1, 1] + [0] * 998})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "csm", spec)
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert out.startswith("linear form: x2\n") and out.count("\n") == 4
 
 
 def test_hilbert_rejects_bad_syntax(capsys):

@@ -20,9 +20,17 @@ from lefschetz import (
     pure_power,
     standard_monomial_table,
 )
-from lefschetz.oracle import _PRIME, _PRIMES, _certified_rank, _echelon_mod_prime
+from lefschetz.oracle import (
+    _PRIME,
+    _PRIMES,
+    _REDUCE_EVERY,
+    _certified_rank,
+    _echelon_mod_prime,
+    _power_table,
+)
 from _util import (
     contains,
+    echelon_mod_prime_stepwise,
     lefschetz_report_all_cells,
     map_at,
     multiplication_matrix_by_entries,
@@ -105,8 +113,9 @@ def test_matrix_rank_basics():
 
 
 def test_matrix_rank_matches_modular_on_small_integers():
-    # 6x6 with entries <= 9: every minor is far below the prime, so the
-    # modular rank provably equals the rank over Q
+    # 6x6 with entries <= 9: by Hadamard's bound every minor of at most 5
+    # rows is below the prime and a 6x6 determinant below 2p, so the modular
+    # rank equals the rank over Q unless a determinant is exactly +-p
     rng = seeded(103)
     for _ in range(300):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
@@ -280,7 +289,7 @@ def test_report_raises_when_exact_rank_undershoots(monkeypatch):
     # Bareiss fallback.
     monkeypatch.setattr(lefschetz.oracle, "matrix_rank", lambda matrix: 0)
     with pytest.raises(HypothesisViolation):
-        lefschetz_report(TOGLIATTI, coefficients=[2**31 - 1, 1, 1])
+        lefschetz_report(TOGLIATTI, coefficients=[_PRIME, 1, 1])
 
 
 def _count_bareiss(monkeypatch):
@@ -309,7 +318,7 @@ def test_report_certifies_deficient_cells_by_kernel_vectors(monkeypatch):
     assert [(r.i, r.t, r.rank) for r in got.maps] == [(r.i, r.t, r.rank) for r in want.maps]
 
 
-@pytest.mark.parametrize("coeffs", [[2**31 - 1, 1, 1], [2 * (2**31 - 1), 3, -1]])
+@pytest.mark.parametrize("coeffs", [[_PRIME, 1, 1], [2 * _PRIME, 3, -1]])
 def test_report_falls_back_to_bareiss_after_an_unlucky_prime(monkeypatch, coeffs):
     # the first coefficient vanishes mod the first prime, so one cell of
     # full rank over Q loses rank mod p; its kernel vectors cannot verify,
@@ -327,7 +336,7 @@ def test_report_falls_back_to_bareiss_after_an_unlucky_prime(monkeypatch, coeffs
     "ideal, coeffs, path",
     [
         (MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal(), None, "kernel"),
-        (TOGLIATTI, [2**31 - 1, 1, 1], "exact"),
+        (TOGLIATTI, [_PRIME, 1, 1], "exact"),
     ],
 )
 def test_report_eliminates_each_ranked_cell_once_mod_the_first_prime(
@@ -373,7 +382,7 @@ def test_kernel_certificate_gives_up_rather_than_understate():
 
 def test_kernel_certificate_combines_primes(monkeypatch):
     # the kernel vector (b, -a) needs a numerator and denominator near
-    # 2^20, beyond rational reconstruction mod one prime (about 2^15)
+    # 2^20, beyond rational reconstruction mod one prime (about 2^12)
     a, b = 1_000_003, 999_983
     primes = []
     kernel_mod_prime = lefschetz.oracle._kernel_mod_prime
@@ -393,6 +402,54 @@ def test_kernel_primes_are_distinct_primes_below_2_31():
     for p in _PRIMES:
         assert p < 2**31
         assert all(p % d for d in range(2, isqrt(p) + 1)), p
+
+
+def test_delayed_reduction_cannot_overflow_int64():
+    # an entry in [0, p) loses at most (p - 1)^2 per pivot between reductions
+    assert all(p < 2**26 for p in _PRIMES)
+    assert len(_PRIMES) >= 10
+    assert _REDUCE_EVERY * (_PRIME - 1) ** 2 + _PRIME < 2**63
+
+
+def _echelon_cases():
+    """Tall, wide, square, rank-deficient and all-(p-1) matrices, zero
+    columns, and the ranked cells of a spec with deficient cells."""
+    rng = np.random.default_rng(163)
+    p = _PRIME
+    cases = [np.full((9, 9), p - 1), np.full((12, 5), p - 1), np.full((5, 12), p - 1)]
+    for rows, cols in [(1, 1), (1, 7), (7, 1), (8, 8), (30, 11), (11, 30), (40, 40)]:
+        dense = rng.integers(0, p, (rows, cols))
+        cases.append(dense)
+        low = rng.integers(0, p, (rows, 3)) @ rng.integers(0, 5, (3, cols)) % p
+        cases.append(low)  # rank at most 3
+        holes = dense.copy()
+        holes[:, rng.integers(0, cols, 2)] = 0
+        cases.append(holes)
+        cases.append(rng.integers(-3, 4, (rows, cols)))
+    keys, table, center = _power_table(MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal())
+    residues = (table % p).astype(np.int64)
+    for t in range(1, len(keys)):
+        for i in range(len(keys) - t):
+            cell = center + keys[i + t][:, None] - keys[i]
+            if cell.size:
+                cases.append(residues[cell])
+    return cases
+
+
+@pytest.mark.parametrize("reduce_every", [_REDUCE_EVERY, 2])
+def test_echelon_mod_prime_equals_the_stepwise_reference(monkeypatch, reduce_every):
+    # every 2 pivots runs the periodic reduction of the trailing block on
+    # matrices far smaller than _REDUCE_EVERY
+    monkeypatch.setattr(lefschetz.oracle, "_REDUCE_EVERY", reduce_every)
+    deficient = 0
+    for matrix in _echelon_cases():
+        pivots, echelon = _echelon_mod_prime(matrix.copy(), _PRIME)
+        want_pivots, want_echelon = echelon_mod_prime_stepwise(matrix.copy(), _PRIME)
+        assert pivots == want_pivots
+        assert echelon.dtype == want_echelon.dtype
+        assert np.array_equal(echelon, want_echelon)
+        deficient += len(pivots) < min(matrix.shape)
+    assert deficient > 0
 
 
 def test_power_table_over_the_work_budget_is_refused():
