@@ -1,7 +1,6 @@
 """Exact Hilbert series and Lefschetz properties of Artinian monomial algebras."""
 
 from .analysis import (
-    ReflectingDegree,
     TwoVarProfile,
     coincides,
     is_almost_centered,

@@ -9,19 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import HilbertSeries
-
-@dataclass(frozen=True)
-class ReflectingDegree:
-    """Center (p+q)/2 of a symmetric series, stored doubled to stay integral."""
-
-    twice: int
-
-    def __str__(self):
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
 
 def is_symmetric(hs) -> bool:
     """True iff the trimmed coefficient vector is a palindrome."""
@@ -30,15 +17,16 @@ def is_symmetric(hs) -> bool:
     return hs.coeffs == hs.coeffs[::-1]
 
 
-def reflecting_degree(hs) -> ReflectingDegree:
+def reflecting_degree(hs) -> int:
+    """Twice the center of a symmetric series (offset plus socle degree), an integer."""
     if not is_symmetric(hs):
         raise ValueError("series is not symmetric")
-    return ReflectingDegree(hs.offset + hs.socle_degree)
+    return hs.offset + hs.socle_degree
 
 
 def coincides(r1, r2) -> bool:
-    """Equal or half an integer apart."""
-    return abs(r1.twice - r2.twice) <= 1
+    """Equal or half an integer apart, for doubled reflecting degrees."""
+    return abs(r1 - r2) <= 1
 
 
 def is_almost_centered(hs) -> bool:
@@ -75,9 +63,6 @@ class TwoVarProfile:
     alpha: int
     beta: int
     swapped: bool
-    socle_degree: int
-    max_degree: int
-    symmetric: bool
     almost_centered: bool
 
 
@@ -99,9 +84,6 @@ def two_var_profile(a, b, alpha, beta) -> TwoVarProfile:
     swapped = a + beta > b + alpha
     if swapped:
         a, alpha, b, beta = b, beta, a, alpha
-    socle = b + alpha - 2
-    peak = min(a, alpha + beta) - 1
-    symmetric = a + beta == b
     not_centered = (b >= a + beta + 2) or (
         a - alpha >= 2 and beta >= 2 and b <= a + beta - 2
     )
@@ -111,8 +93,5 @@ def two_var_profile(a, b, alpha, beta) -> TwoVarProfile:
         alpha=alpha,
         beta=beta,
         swapped=swapped,
-        socle_degree=socle,
-        max_degree=peak,
-        symmetric=symmetric,
         almost_centered=not not_centered,
     )

@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import os
-import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -64,11 +63,6 @@ def _load_grid(text):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
     return grid_from_json(_load_json(text))
-
-
-def _form_coefficients(seed, n):
-    rng = random.Random(seed)
-    return [rng.randint(1, 9) for _ in range(n)]
 
 
 @dataclass
@@ -184,8 +178,11 @@ def _emit(args, payload, human):
 
 
 def cmd_hilbert(args):
-    ideal = _load_ideal(args.ideal, args.nvars)
-    series = hilbert_series(ideal)
+    # a JSON spec has a closed form, so its ideal is never built
+    if args.ideal.strip().startswith("{"):
+        series = MaciSpec.from_dict(_load_json(args.ideal)).series()
+    else:
+        series = hilbert_series(parse_ideal(args.ideal, n=args.nvars))
     human = f"{series.to_text()}\ncoefficients: {', '.join(str(c) for c in series.coeffs)}"
     _emit(args, series.as_dict(), human)
     return 0
@@ -193,21 +190,13 @@ def cmd_hilbert(args):
 
 def cmd_check(args):
     ideal = _load_ideal(args.ideal, args.nvars)
-    coeffs = None
-    if args.random_form is not None:
-        coeffs = _form_coefficients(args.random_form, ideal.n)
     if args.matrix is not None:
         i, t = args.matrix
-        for row in multiplication_matrix(ideal, i, t, coeffs):
+        for row in multiplication_matrix(ideal, i, t):
             print(" ".join(str(x) for x in row))
         return 0
-    report = lefschetz_report(ideal, coeffs)
-    payload = report.as_dict()
-    if coeffs is not None:
-        payload["form_coefficients"] = coeffs
+    report = lefschetz_report(ideal)
     lines = [f"hilbert series: {report.series.to_text()}"]
-    if coeffs is not None:
-        lines.append(f"linear form coefficients: {coeffs}")
     if args.wlp or not args.slp:
         wlp_wit = [w for w in report.witnesses if w[1] == 1]
         lines.append(f"wlp: {str(report.wlp).lower()}")
@@ -219,7 +208,7 @@ def cmd_check(args):
             lines.append(
                 "failing maps: " + ", ".join(f"(i={i}, t={t})" for i, t in report.witnesses)
             )
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, report.as_dict(), "\n".join(lines))
     return 0
 
 
@@ -307,13 +296,6 @@ def _build_parser():
         type=int,
         default=None,
         help="declared variable count (default: highest index used)",
-    )
-    parser.add_argument(
-        "--random-form",
-        type=int,
-        metavar="SEED",
-        default=None,
-        help="use seeded random positive coefficients for the linear form (sanity mode)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

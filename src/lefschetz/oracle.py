@@ -3,8 +3,8 @@
 The linear form is l = x_1 + ... + x_n.  For a monomial ideal this is as
 general as it gets: rescaling the variables turns any form with all
 coefficients nonzero into this one while permuting nothing, so the ranks of
-the maps  l^t : A_i -> A_{i+t}  do not depend on the (nonzero) coefficients.
-A randomized-coefficients mode is still provided as an empirical spot check.
+the maps  l^t : A_i -> A_{i+t}  do not depend on the (nonzero) coefficients,
+and this one form decides the weak and strong Lefschetz properties.
 
 Every matrix entry is read from one exact table: the coefficient of x^d in
 l^|d|, for every exponent difference d that two standard monomials can
@@ -62,7 +62,6 @@ its ``certificate``:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import factorial, isqrt, lcm
 
@@ -111,14 +110,14 @@ class HypothesisViolation(RuntimeError):
     """
 
 
-def _power_table(ideal, coefficients=None):
+def _power_table(ideal):
     """Keys of the standard monomials and the table of coefficients of powers of l.
 
     Entry (u, v) of the matrix of l^t is the coefficient of x^(u - v) in
     l^|u - v|, so it depends only on d = u - v, and d_j lies in
     [-(a_j - 1), a_j - 1] where x_j^(a_j) is the pure power of the ideal.
     The table covers that whole box, flattened in C order: it holds
-    |d|! * prod(c_j^(d_j)) / prod(d_j!) as a Python int where d >= 0 and 0
+    the multinomial |d|! / prod(d_j!) as a Python int where d >= 0 and 0
     elsewhere.  Each degree-i standard monomial u gets the mixed-radix key
     sum(u_j * w_j) with the strides w_j of the box, so the entry for (u, v)
     sits at ``center + key(u) - key(v)``.
@@ -132,13 +131,6 @@ def _power_table(ideal, coefficients=None):
     Returns (keys by degree as int64 arrays, flat object table, center).
     A box of more than MAX_TABLE_ENTRIES entries is a ValueError.
     """
-    n = ideal.n
-    if coefficients is None:
-        coefficients = (1,) * n
-    elif len(coefficients) != n:
-        raise ValueError("need one linear form coefficient per variable")
-    # Python ints, so that c**d cannot wrap as a numpy fixed-width integer would
-    coefficients = [operator.index(c) for c in coefficients]
     if not ideal.is_artinian():
         raise ValueError("standard monomials form an infinite set for a non-Artinian ideal")
     if ideal.is_unit():  # no monomials and no entries
@@ -151,18 +143,15 @@ def _power_table(ideal, coefficients=None):
     gens = [pure_power(len(axes), k, a) for k, a in enumerate(bounds)]
     gens += [[g[j] for j in axes] for g in ideal.cross]
     basis = standard_monomial_table(MonomialIdeal(len(axes), gens))
-    coefficients = [coefficients[j] for j in axes]
     fact = [factorial(k) for k in range(sum(bounds) - len(axes) + 1)]
     degree = np.zeros((), dtype=np.int64)
     denom = np.ones((), dtype=object)
-    powers = np.ones((), dtype=object)
-    for a, c in zip(bounds, coefficients):
+    for a in bounds:
         degree = np.add.outer(degree, np.arange(a))
         denom = np.multiply.outer(denom, np.array(fact[:a], dtype=object))
-        powers = np.multiply.outer(powers, np.array([c**d for d in range(a)], dtype=object))
     table = np.zeros([2 * a - 1 for a in bounds], dtype=object)
     table[tuple(slice(a - 1, None) for a in bounds)] = (
-        np.array(fact, dtype=object)[degree] // denom * powers
+        np.array(fact, dtype=object)[degree] // denom
     )
     strides = np.array(table.strides, dtype=np.int64) // table.itemsize
     center = int(strides @ (np.array(bounds, dtype=np.int64) - 1))
@@ -170,15 +159,13 @@ def _power_table(ideal, coefficients=None):
     return keys, table.ravel(), center
 
 
-def multiplication_matrix(ideal, i, t, coefficients=None):
+def multiplication_matrix(ideal, i, t):
     """Integer matrix of multiplication by l^t from degree i to degree i + t.
 
     Rows are indexed by the degree-(i+t) standard monomials, columns by the
     degree-i ones, both in graded lex order.  The (u, v) entry is the
     multinomial coefficient t! / prod((u_j - v_j)!) when u - v is
-    componentwise nonnegative, else 0.  With ``coefficients`` c the entry
-    carries the extra factor prod(c_j^(u_j - v_j)) coming from
-    l = c_1 x_1 + ... + c_n x_n.
+    componentwise nonnegative, else 0.
 
     Empty matrices (no rows or no columns) are fine and mean a zero space.
     """
@@ -186,7 +173,7 @@ def multiplication_matrix(ideal, i, t, coefficients=None):
         raise ValueError("the power t must be >= 1")
     if i < 0:
         raise ValueError("the source degree must be >= 0")
-    keys, table, center = _power_table(ideal, coefficients)
+    keys, table, center = _power_table(ideal)
     empty = np.zeros(0, dtype=np.int64)
     src = keys[i] if i < len(keys) else empty
     tgt = keys[i + t] if i + t < len(keys) else empty
@@ -438,7 +425,7 @@ def _reason_for(rank, dim_src, dim_tgt):
     return REASON_NEITHER
 
 
-def lefschetz_report(ideal, coefficients=None) -> LefschetzReport:
+def lefschetz_report(ideal) -> LefschetzReport:
     """Exact rank record of every map l^t : A_i -> A_{i+t}, i + t <= socle.
 
     Beyond the socle degree every target space is zero and full rank is
@@ -447,7 +434,7 @@ def lefschetz_report(ideal, coefficients=None) -> LefschetzReport:
     already proven (see the module docstring) is recorded without being
     ranked; records are returned in (t, i) order all the same.
     """
-    keys, table, center = _power_table(ideal, coefficients)
+    keys, table, center = _power_table(ideal)
     series = HilbertSeries([len(bucket) for bucket in keys])
     if series.is_zero():
         return LefschetzReport(ideal, series, [], True, True, [])

@@ -233,12 +233,12 @@ def seeded(seed):
     return random.Random(seed)
 
 
-def multiplication_matrix_by_entries(ideal, i, t, coefficients=None):
+def multiplication_matrix_by_entries(ideal, i, t):
     """Reference build of the matrix of l^t : A_i -> A_{i+t}, one entry at a time.
 
-    The (u, v) entry is t! / prod((u_j - v_j)!) * prod(c_j^(u_j - v_j)) when
-    u - v is componentwise nonnegative, else 0; rows and columns follow the
-    graded lex order of the reference basis.
+    The (u, v) entry is t! / prod((u_j - v_j)!) when u - v is componentwise
+    nonnegative, else 0; rows and columns follow the graded lex order of the
+    reference basis.
     """
     table = standard_monomial_table_by_product(ideal)
     src = table[i] if i < len(table) else ()
@@ -254,9 +254,6 @@ def multiplication_matrix_by_entries(ideal, i, t, coefficients=None):
             val = factorial(t)
             for d in diff:
                 val //= factorial(d)
-            if coefficients is not None:
-                for c, d in zip(coefficients, diff):
-                    val *= c**d
             row.append(val)
         rows.append(row)
     return rows
@@ -291,14 +288,14 @@ def echelon_mod_prime_stepwise(matrix, p):
     return pivots, A[: len(pivots)]
 
 
-def lefschetz_report_all_cells(ideal, coefficients=None):
+def lefschetz_report_all_cells(ideal):
     """Reference report that ranks every cell l^t : A_i -> A_{i+t}, i + t <= socle.
 
     Each cell is ranked mod p and, below full rank, again by Bareiss
     elimination; nothing is implied.  Records, witnesses and verdicts come
     in (t, i) order, like lefschetz_report.
     """
-    keys, table, center = _power_table(ideal, coefficients)
+    keys, table, center = _power_table(ideal)
     series = hilbert_series(ideal)
     if series.is_zero():
         return LefschetzReport(ideal, series, [], True, True, [])
@@ -367,6 +364,14 @@ def tensor_map_full_rank(base_series, d, i, t) -> bool:
         elif dim_src < dim_tgt:
             surjective_ok = False
     return injective_ok or surjective_ok
+
+
+def profile_shape(profile):
+    """(peak degree, socle degree, symmetric) of the series of a normalized
+    TwoVarProfile: it peaks in degree min(a, alpha + beta) - 1, its socle
+    degree is b + alpha - 2, and it is symmetric iff a + beta = b."""
+    a, b, alpha, beta = profile.a, profile.b, profile.alpha, profile.beta
+    return min(a, alpha + beta) - 1, b + alpha - 2, a + beta == b
 
 
 def shape_case(profile):

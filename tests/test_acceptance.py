@@ -33,6 +33,7 @@ from _util import (
     is_symmetric_maci,
     is_unimodal,
     plus_monomial,
+    profile_shape,
     rand_artinian_ideal,
     rand_monomial,
     rand_series,
@@ -107,6 +108,7 @@ def test_c4_two_variable_profile_exhaustive_to_14():
                         continue
                     cases += 1
                     prof = two_var_profile(a, b, alpha, beta)
+                    max_degree, socle, symmetric = profile_shape(prof)
                     hs = two_var_series_by_enumeration(a, b, alpha, beta)
                     c = hs.coeffs
                     peak = max(c)
@@ -117,9 +119,9 @@ def test_c4_two_variable_profile_exhaustive_to_14():
                         and all(
                             c[k] - c[k + 1] in (0, 1, 2) for k in range(first, len(c) - 1)
                         )
-                        and c[prof.max_degree] == peak
-                        and hs.socle_degree == prof.socle_degree
-                        and prof.symmetric == is_symmetric(hs)
+                        and c[max_degree] == peak
+                        and hs.socle_degree == socle
+                        and symmetric == is_symmetric(hs)
                         and prof.almost_centered == is_almost_centered(hs)
                     )
                     if not good:

@@ -4,7 +4,6 @@ import pytest
 
 from lefschetz import (
     HilbertSeries,
-    ReflectingDegree,
     coincides,
     hilbert_series,
     is_almost_centered,
@@ -16,6 +15,7 @@ from lefschetz import (
 from _util import (
     is_almost_centered_noncrossing,
     is_unimodal,
+    profile_shape,
     rand_series,
     seeded,
     shape_case,
@@ -41,19 +41,19 @@ def test_stairs_series_is_the_two_var_quotient():
 
 
 def test_reflecting_degree():
-    assert reflecting_degree(GOLDEN).twice == 9
-    assert reflecting_degree(HilbertSeries([1, 2, 1])).twice == 2
-    assert reflecting_degree(HilbertSeries([1, 1], offset=3)).twice == 7
+    # twice the center: 9/2, 1 and 7/2
+    assert reflecting_degree(GOLDEN) == 9
+    assert reflecting_degree(HilbertSeries([1, 2, 1])) == 2
+    assert reflecting_degree(HilbertSeries([1, 1], offset=3)) == 7
     with pytest.raises(ValueError):
         reflecting_degree(TOGLIATTI)
-    assert str(ReflectingDegree(9)) == "9/2"
-    assert str(ReflectingDegree(8)) == "4"
 
 
 def test_coincides():
-    assert coincides(ReflectingDegree(9), ReflectingDegree(9))
-    assert coincides(ReflectingDegree(9), ReflectingDegree(10))
-    assert not coincides(ReflectingDegree(8), ReflectingDegree(10))
+    assert coincides(9, 9)
+    assert coincides(9, 10)
+    assert coincides(10, 9)
+    assert not coincides(8, 10)
 
 
 def test_is_unimodal():
@@ -108,10 +108,11 @@ def test_symmetric_unimodal_implies_almost_centered():
 
 def test_two_var_profile_examples():
     prof = two_var_profile(4, 6, 2, 3)
-    assert prof.almost_centered and not prof.symmetric and prof.socle_degree == 6
+    _, socle, symmetric = profile_shape(prof)
+    assert prof.almost_centered and not symmetric and socle == 6
     assert not two_var_profile(4, 6, 2, 4).almost_centered
-    prof = two_var_profile(2, 3, 1, 1)
-    assert prof.symmetric and prof.socle_degree == 2
+    _, socle, symmetric = profile_shape(two_var_profile(2, 3, 1, 1))
+    assert symmetric and socle == 2
 
 
 def test_two_var_profile_normalization():
@@ -119,7 +120,7 @@ def test_two_var_profile_normalization():
     straight = two_var_profile(2, 5, 1, 1)
     assert prof.swapped and not straight.swapped
     assert (prof.a, prof.b, prof.alpha, prof.beta) == (2, 5, 1, 1)
-    assert prof.socle_degree == straight.socle_degree == 4
+    assert profile_shape(prof)[1] == profile_shape(straight)[1] == 4
     assert prof.almost_centered == straight.almost_centered is False
 
 
@@ -141,6 +142,7 @@ def test_two_var_profile_against_enumeration():
                     if a + beta > b + alpha:
                         continue
                     prof = two_var_profile(a, b, alpha, beta)
+                    max_degree, socle, symmetric = profile_shape(prof)
                     hs = two_var_series_by_enumeration(a, b, alpha, beta)
                     c = hs.coeffs
                     peak = max(c)
@@ -148,9 +150,9 @@ def test_two_var_profile_against_enumeration():
                     assert is_unimodal(hs)
                     assert all(c[k + 1] == c[k] + 1 for k in range(first))
                     assert all(c[k] - c[k + 1] in (0, 1, 2) for k in range(first, len(c) - 1))
-                    assert c[prof.max_degree] == peak
-                    assert hs.socle_degree == prof.socle_degree
-                    assert prof.symmetric == is_symmetric(hs)
+                    assert c[max_degree] == peak
+                    assert hs.socle_degree == socle
+                    assert symmetric == is_symmetric(hs)
                     assert prof.almost_centered == is_almost_centered(hs)
 
 

@@ -75,8 +75,6 @@ def test_matrix_validation():
         multiplication_matrix(TOGLIATTI, 0, 0)
     with pytest.raises(ValueError):
         multiplication_matrix(TOGLIATTI, -1, 1)
-    with pytest.raises(ValueError):
-        multiplication_matrix(TOGLIATTI, 0, 1, coefficients=[1, 2])
 
 
 def test_matrix_column_sums_at_t_one():
@@ -186,17 +184,10 @@ def test_matrix_matches_reference_builder():
     ideals += [rand_artinian_ideal(rng, rng.randint(1, 4), max_bound=4, extra=3) for _ in range(8)]
     for ideal in ideals:
         top = len(standard_monomial_table(ideal))
-        forms = [None, ([0, -2, 2**40, 5] * 2)[: ideal.n], ([2**40, -1, 3, 0] * 2)[: ideal.n]]
-        for coeffs in forms:
-            for t in range(1, top + 2):
-                for i in range(top + 1):
-                    want = multiplication_matrix_by_entries(ideal, i, t, coeffs)
-                    assert multiplication_matrix(ideal, i, t, coeffs) == want, (ideal, i, t, coeffs)
-                    if coeffs is not None:  # numpy integers must not wrap
-                        got = multiplication_matrix(ideal, i, t, np.array(coeffs, dtype=np.int64))
-                        assert got == want, (ideal, i, t, coeffs)
-    mat = multiplication_matrix(TOGLIATTI, 0, 2, np.array([2**40, 1, 1]))
-    assert mat == [[2**80], [2**41], [2**41], [1], [2], [1]]
+        for t in range(1, top + 2):
+            for i in range(top + 1):
+                want = multiplication_matrix_by_entries(ideal, i, t)
+                assert multiplication_matrix(ideal, i, t) == want, (ideal, i, t)
 
 
 def _record_keys(report):
@@ -207,8 +198,7 @@ def _record_keys(report):
 
 def test_report_matches_all_cells_reference():
     # implied records against ranking every cell, on MACIs with and without
-    # the SLP, on other Artinian ideals and on forms with zero and negative
-    # coefficients, for which the implication rules hold just the same
+    # the SLP and on other Artinian ideals
     rng = seeded(137)
     ideals = [TOGLIATTI] + [rand_maci(rng, rng.randint(2, 4), 5).ideal() for _ in range(12)]
     ideals += [rand_artinian_ideal(rng, rng.randint(1, 4), max_bound=5, extra=3) for _ in range(12)]
@@ -218,23 +208,12 @@ def test_report_matches_all_cells_reference():
         if not lefschetz_report_all_cells(ideal).slp:
             failing.append(ideal)
     for ideal in ideals + failing:
-        forms = [None, ([0, -2, 3, 1] * 2)[: ideal.n], ([-1, 5, 0, -7] * 2)[: ideal.n]]
-        forms.append([rng.randint(-3, 3) for _ in range(ideal.n)])
-        for coeffs in forms:
-            got = lefschetz_report(ideal, coeffs)
-            want = lefschetz_report_all_cells(ideal, coeffs)
-            assert _record_keys(got) == _record_keys(want), (ideal, coeffs)
-            assert (got.witnesses, got.wlp, got.slp) == (want.witnesses, want.wlp, want.slp)
-            assert got.series == hilbert_series(ideal), ideal
+        got = lefschetz_report(ideal)
+        want = lefschetz_report_all_cells(ideal)
+        assert _record_keys(got) == _record_keys(want), ideal
+        assert (got.witnesses, got.wlp, got.slp) == (want.witnesses, want.wlp, want.slp)
+        assert got.series == hilbert_series(ideal), ideal
     assert sum(1 for ideal in ideals + failing if not lefschetz_report(ideal).slp) >= 20
-
-
-def test_report_numpy_coefficients_do_not_wrap():
-    # 2^40 squared does not fit in int64; a wrapped table loses rank at (1, 3)
-    got = lefschetz_report(TOGLIATTI, np.array([2**40, 1, 1]))
-    want = lefschetz_report_all_cells(TOGLIATTI, [2**40, 1, 1])
-    assert _record_keys(got) == _record_keys(want)
-    assert got.witnesses == want.witnesses == [(2, 1)]
 
 
 def test_report_ranks_only_the_central_cells_of_a_symmetric_spec():
@@ -275,21 +254,21 @@ def test_report_deficient_cells_are_exact_never_implied():
                 assert map_at(report, *rec.implied_by).full_rank
 
 
-def test_report_rejects_wrong_length_coefficients():
-    with pytest.raises(ValueError):
-        lefschetz_report(TOGLIATTI, coefficients=[1, 2])
-    with pytest.raises(ValueError):
-        lefschetz_report(TOGLIATTI, coefficients=[1, 2, 3, 4])
+def _unlucky_first_prime(monkeypatch, p):
+    """Patch the oracle's first prime to a small p, which loses the rank of
+    some cells of full rank over Q; the later primes stay as they are."""
+    monkeypatch.setattr(lefschetz.oracle, "_PRIME", p)
+    monkeypatch.setattr(lefschetz.oracle, "_PRIMES", (p,) + _PRIMES[1:])
 
 
 def test_report_raises_when_exact_rank_undershoots(monkeypatch):
     # the exact rank can never fall below the rank mod p; if it does, the
-    # report must refuse even when assertions are compiled out.  A form
-    # coefficient divisible by the first prime is what sends a cell to the
-    # Bareiss fallback.
+    # report must refuse even when assertions are compiled out.  An unlucky
+    # first prime is what sends a cell to the Bareiss fallback.
+    _unlucky_first_prime(monkeypatch, 3)
     monkeypatch.setattr(lefschetz.oracle, "matrix_rank", lambda matrix: 0)
     with pytest.raises(HypothesisViolation):
-        lefschetz_report(TOGLIATTI, coefficients=[_PRIME, 1, 1])
+        lefschetz_report(TOGLIATTI)
 
 
 def _count_bareiss(monkeypatch):
@@ -318,32 +297,35 @@ def test_report_certifies_deficient_cells_by_kernel_vectors(monkeypatch):
     assert [(r.i, r.t, r.rank) for r in got.maps] == [(r.i, r.t, r.rank) for r in want.maps]
 
 
-@pytest.mark.parametrize("coeffs", [[_PRIME, 1, 1], [2 * _PRIME, 3, -1]])
-def test_report_falls_back_to_bareiss_after_an_unlucky_prime(monkeypatch, coeffs):
-    # the first coefficient vanishes mod the first prime, so one cell of
-    # full rank over Q loses rank mod p; its kernel vectors cannot verify,
-    # the next prime moves its pivots, and Bareiss ranks it
-    want = lefschetz_report_all_cells(TOGLIATTI, coeffs)
+@pytest.mark.parametrize("prime", [2, 3])
+def test_report_falls_back_to_bareiss_after_an_unlucky_prime(monkeypatch, prime):
+    # cells of full rank over Q lose rank mod a tiny first prime; their
+    # kernel vectors cannot verify, the next prime moves their pivots, and
+    # Bareiss ranks them.  The reference keeps the real first prime.
+    want = lefschetz_report_all_cells(TOGLIATTI)
+    _unlucky_first_prime(monkeypatch, prime)
     calls = _count_bareiss(monkeypatch)
-    got = lefschetz_report(TOGLIATTI, coeffs)
-    assert len(calls) == 1
-    assert [r.certificate for r in got.maps].count("exact") == 1
+    got = lefschetz_report(TOGLIATTI)
+    exact = [r.certificate for r in got.maps].count("exact")
+    assert len(calls) == exact >= 1
     assert _record_keys(got) == _record_keys(want)
     assert got.witnesses == want.witnesses == [(2, 1)]
 
 
 @pytest.mark.parametrize(
-    "ideal, coeffs, path",
+    "ideal, prime, path",
     [
         (MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal(), None, "kernel"),
-        (TOGLIATTI, [_PRIME, 1, 1], "exact"),
+        (TOGLIATTI, 3, "exact"),
     ],
 )
 def test_report_eliminates_each_ranked_cell_once_mod_the_first_prime(
-    monkeypatch, ideal, coeffs, path
+    monkeypatch, ideal, prime, path
 ):
     # the kernel certificate starts from the rank step's echelon form, and
-    # only its later primes eliminate again
+    # only its later primes eliminate again; prime None keeps the real one
+    if prime is not None:
+        _unlucky_first_prime(monkeypatch, prime)
     primes = []
     echelon_mod_prime = lefschetz.oracle._echelon_mod_prime
 
@@ -352,10 +334,10 @@ def test_report_eliminates_each_ranked_cell_once_mod_the_first_prime(
         return echelon_mod_prime(matrix, p)
 
     monkeypatch.setattr(lefschetz.oracle, "_echelon_mod_prime", recorded)
-    report = lefschetz_report(ideal, coeffs)
+    report = lefschetz_report(ideal)
     ranked = [r.certificate for r in report.maps if r.certificate in {"mod_p", "kernel", "exact"}]
     assert path in ranked
-    assert primes.count(_PRIME) == len(ranked)
+    assert primes.count(lefschetz.oracle._PRIME) == len(ranked)
 
 
 def _certify(matrix):
@@ -466,8 +448,8 @@ def test_report_works_on_the_variables_that_survive_in_the_quotient():
     ideal = MaciSpec([60, 60] + [1] * 298, [1, 1] + [0] * 298).ideal()
     with pytest.raises(ValueError, match="budget"):
         standard_monomial_table(ideal)
-    got = lefschetz_report(ideal, [3, 5] + [7] * 298)
-    want = lefschetz_report(MaciSpec([60, 60], [1, 1]).ideal(), [3, 5])
+    got = lefschetz_report(ideal)
+    want = lefschetz_report(MaciSpec([60, 60], [1, 1]).ideal())
     assert got.series == want.series
     assert [rec.as_dict() for rec in got.maps] == [rec.as_dict() for rec in want.maps]
     assert multiplication_matrix(ideal, 3, 2) == multiplication_matrix(want.ideal, 3, 2)
@@ -492,21 +474,6 @@ def test_report_invariant_under_variable_permutation():
         r1 = lefschetz_report(spec.ideal())
         r2 = lefschetz_report(other.ideal())
         assert [(m.i, m.t, m.rank) for m in r1.maps] == [(m.i, m.t, m.rank) for m in r2.maps]
-
-
-def test_report_random_form_matches_all_ones():
-    # any form with all nonzero coefficients is diagonal-conjugate to the
-    # all-ones form, so the ranks must agree exactly
-    rng = seeded(127)
-    for _ in range(8):
-        spec = rand_maci(rng, rng.randint(2, 3), 4)
-        ideal = spec.ideal()
-        coeffs = [rng.randint(1, 9) for _ in range(ideal.n)]
-        base = lefschetz_report(ideal)
-        scaled = lefschetz_report(ideal, coefficients=coeffs)
-        assert [(m.i, m.t, m.rank) for m in base.maps] == [
-            (m.i, m.t, m.rank) for m in scaled.maps
-        ]
 
 
 def test_tensor_map_full_rank_examples():
