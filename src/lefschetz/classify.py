@@ -9,18 +9,21 @@ rebuilt and every one of its numeric proof obligations is re-checked, so a
 bug or a genuine counterexample surfaces as a loud error instead of a quiet
 wrong answer.  The pieces of that decomposition are exponent data (a
 MaciSpec or complete-intersection exponents) whose series come from closed
-forms, so no monomial ideal is built on the classification path.
+forms, so no monomial ideal is built on the classification path.  Renaming
+the variables gives an isomorphic quotient whose decomposition is the
+renamed one, so classify_maci certifies each relabeling class once per
+process, on its canonical representative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from math import comb
 
 from .analysis import coincides, is_symmetric, reflecting_degree, two_var_profile
-from .core import MAX_TABLE_ENTRIES, MAX_VAR_INDEX, MonomialIdeal, check_table_size, pure_power
+from .core import MAX_TABLE_ENTRIES, MAX_VAR_INDEX, check_table_size
 from .oracle import HypothesisViolation
 from .series import HilbertSeries, MaciSpec, ci_series
 
@@ -114,13 +117,19 @@ def symmetric_witness(spec):
 class CsmPiece:
     """A central simple module slice: a quotient in n-1 variables held as
     exponent data, a MaciSpec or complete-intersection exponents, whose
-    series is the matching closed form.  The ideal is built only for display,
-    once per piece.
+    series is the matching closed form.  Its generators are built only for
+    display, once per piece.
     """
 
     quotient: object  # MaciSpec, or a tuple of complete-intersection exponents
     shift: int
     multiplier: int
+
+    @property
+    def n(self) -> int:
+        if isinstance(self.quotient, MaciSpec):
+            return self.quotient.n
+        return len(self.quotient)
 
     @cached_property
     def series(self) -> HilbertSeries:
@@ -129,12 +138,22 @@ class CsmPiece:
         return ci_series(self.quotient)
 
     @cached_property
-    def ideal(self) -> MonomialIdeal:
+    def generators(self) -> tuple:
+        """Minimal generators as exponent tuples, in sorted_generators order.
+
+        A complete intersection's generators are its pure powers, ordered by
+        (exponent, index), so they are written straight from the exponents.
+        """
         if isinstance(self.quotient, MaciSpec):
-            return self.quotient.ideal()
+            return self.quotient.ideal().sorted_generators()
         n = len(self.quotient)
         check_table_size((n, n))  # dense exponents of n pure powers
-        return MonomialIdeal(n, [pure_power(n, i, e) for i, e in enumerate(self.quotient)])
+        gens = []
+        for i in sorted(range(n), key=lambda k: (self.quotient[k], k)):
+            g = [0] * n
+            g[i] = self.quotient[i]
+            gens.append(tuple(g))
+        return tuple(gens)
 
     def widened_series(self) -> HilbertSeries:
         """Series of the piece tensored with k[t]/(t^multiplier), shifted."""
@@ -142,10 +161,9 @@ class CsmPiece:
         return self.series.shifted(self.shift) * width
 
     def as_dict(self):
-        ideal = self.ideal
         return {
-            "generators": [list(g) for g in ideal.sorted_generators()],
-            "n": ideal.n,
+            "generators": [list(g) for g in self.generators],
+            "n": self.n,
             "shift": self.shift,
             "multiplier": self.multiplier,
             "widened_series": self.widened_series().as_dict(),
@@ -220,9 +238,11 @@ def _check_symmetric_decomposition(spec, series, var=None):
         raise HypothesisViolation(f"widened piece series do not sum to the quotient series for {spec}")
     for piece, wide in zip(dec.pieces, widened):
         if not is_symmetric(piece.series):
-            raise HypothesisViolation(f"piece {piece.ideal} has a non-symmetric series for {spec}")
+            raise HypothesisViolation(f"piece {piece.quotient} has a non-symmetric series for {spec}")
         if not coincides(reflecting_degree(wide), ambient):
-            raise HypothesisViolation(f"widened reflecting degree of {piece.ideal} misses that of {spec}")
+            raise HypothesisViolation(
+                f"widened reflecting degree of piece {piece.quotient} misses that of {spec}"
+            )
     head = dec.pieces[0]
     if isinstance(head.quotient, MaciSpec) and head.quotient.n >= 3:
         _check_symmetric_decomposition(head.quotient, head.series)
@@ -238,7 +258,8 @@ def slp_symmetric(spec) -> bool:
     every hypothesis along the way: series additivity, symmetry of every
     piece, and the widened reflecting degrees coinciding with the ambient
     one, recursively down to complete intersections or two variables.  Any
-    failed check raises HypothesisViolation.
+    failed check raises HypothesisViolation.  It is not cached: every call
+    walks the decomposition of the spec it is given.
     """
     witness = symmetric_witness(spec)
     if witness is None:
@@ -247,17 +268,34 @@ def slp_symmetric(spec) -> bool:
     return True
 
 
+@lru_cache(maxsize=1024)
+def _certify_symmetric_class(key) -> bool:
+    """slp_symmetric on the canonical spec of a relabeling class, the one
+    whose (a_i, m_i) pairs are the sorted key itself.  A failure is not
+    cached, so it raises again for every spec of the class."""
+    return slp_symmetric(MaciSpec(*zip(*key)))
+
+
 def classify_maci(spec):
     """Dispatch to whichever classification rule covers the input, or None.
 
-    A symmetric spec is certified by slp_symmetric.
+    A symmetric spec is certified by slp_symmetric on the canonical spec of
+    its relabeling class, once per class and process.  That is sound because
+    renaming the variables gives an isomorphic quotient with the same
+    series, whose central-simple-module decomposition is the renamed
+    decomposition, so every proof obligation holds on one spec of a class
+    exactly when it holds on all of them.  The witness ordering in the
+    details is still that of the labeled spec.
     """
     if len(spec.support) == 2:
         return classify_support_two(spec)
     witness = symmetric_witness(spec)
     if witness is None:
         return None
-    slp_symmetric(spec)
+    try:
+        _certify_symmetric_class(spec.relabeling_class())
+    except HypothesisViolation as exc:
+        raise HypothesisViolation(f"certifying the class of {spec}: {exc}") from exc
     return ClassificationVerdict(
         True, RULE_SYMMETRIC_HS, {"witness_order": [k + 1 for k in witness]}
     )

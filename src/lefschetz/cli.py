@@ -248,9 +248,9 @@ def cmd_csm(args):
     payload["series_identity"] = True
     lines = [f"linear form: x{dec.variable + 1}"]
     for k, piece in enumerate(dec.pieces, start=1):
-        gens = ", ".join(render_monomial(g) for g in piece.ideal.sorted_generators())
+        gens = ", ".join(render_monomial(g) for g in piece.generators)
         lines.append(
-            f"piece {k}: ({gens}) in {piece.ideal.n} variables, "
+            f"piece {k}: ({gens}) in {piece.n} variables, "
             f"shift {piece.shift}, multiplier {piece.multiplier}"
         )
     lines.append(f"series identity: ok ({series.to_text()})")

@@ -252,7 +252,8 @@ def parse_ideal(text, n=None) -> MonomialIdeal:
 
 
 def render_monomial(m) -> str:
-    if m.is_unit():
+    """x1^2*x3 for the exponent vector (2, 0, 1)."""
+    if not any(m):
         raise ValueError("the unit monomial has no text form")
     return "*".join(
         f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(m) if e

@@ -8,6 +8,7 @@ from math import factorial
 import numpy as np
 
 from lefschetz import (
+    ClassificationVerdict,
     HilbertSeries,
     HypothesisViolation,
     LefschetzReport,
@@ -16,13 +17,17 @@ from lefschetz import (
     Monomial,
     MonomialIdeal,
     ci_series,
+    classify_support_two,
     hilbert_series,
     is_symmetric,
     matrix_rank,
+    pure_power,
     render_monomial,
+    slp_symmetric,
     standard_monomial_table,
     symmetric_witness,
 )
+from lefschetz.classify import RULE_SYMMETRIC_HS
 from lefschetz.cli import _survey_one, survey_rows
 from lefschetz.oracle import (
     _PRIME,
@@ -437,3 +442,26 @@ def survey_disagreements(specs):
 def survey_rows_per_spec(specs):
     """Reference sweep: classify_maci and lefschetz_report on every labeled spec."""
     return [_survey_one((spec.a, tuple(spec.m))) for spec in specs]
+
+
+def classify_maci_per_spec(spec):
+    """Reference classification that certifies every symmetric spec on its
+    own labels through slp_symmetric, with no cache across a class."""
+    if len(spec.support) == 2:
+        return classify_support_two(spec)
+    witness = symmetric_witness(spec)
+    if witness is None:
+        return None
+    slp_symmetric(spec)
+    return ClassificationVerdict(
+        True, RULE_SYMMETRIC_HS, {"witness_order": [k + 1 for k in witness]}
+    )
+
+
+def piece_ideal(piece):
+    """The monomial ideal of a CsmPiece, built generator by generator from
+    dense pure powers: the route CsmPiece.generators is checked against."""
+    if isinstance(piece.quotient, MaciSpec):
+        return piece.quotient.ideal()
+    n = len(piece.quotient)
+    return MonomialIdeal(n, [pure_power(n, i, e) for i, e in enumerate(piece.quotient)])

@@ -1,6 +1,7 @@
 """Classification rules, the symmetric decomposition and cross-verification."""
 
 import hashlib
+from itertools import permutations
 
 import pytest
 
@@ -23,9 +24,11 @@ from lefschetz import (
     two_var_profile,
 )
 from _util import (
+    classify_maci_per_spec,
     hilbert_series_by_colon,
     hilbert_series_by_counting,
     is_symmetric_maci,
+    piece_ideal,
     rand_maci,
     seeded,
     survey_disagreements,
@@ -111,11 +114,11 @@ def test_csm_decomposition_example():
     assert len(dec.pieces) == 2
     head, tail = dec.pieces
     assert head.multiplier == 5 and head.shift == 0
-    assert head.ideal == MonomialIdeal(
+    assert piece_ideal(head) == MonomialIdeal(
         3, [(2, 0, 0), (0, 3, 0), (0, 0, 4), (1, 1, 1)]
     )
     assert tail.multiplier == 1 and tail.shift == 3
-    assert tail.ideal == MonomialIdeal(3, [(1, 0, 0), (0, 2, 0), (0, 0, 3)])
+    assert piece_ideal(tail) == MonomialIdeal(3, [(1, 0, 0), (0, 2, 0), (0, 0, 3)])
     assert head.multiplier > tail.multiplier >= 1
     spec_series = MaciSpec((2, 3, 4, 5), (1, 1, 1, 1)).series()
     assert dec.total_series() == spec_series
@@ -136,7 +139,7 @@ def test_csm_decomposition_two_variables():
     dec = csm_decomposition(spec, var=1)
     assert dec.total_series() == spec.series()
     # truncating the extra generator leaves x1, which replaces x1^3
-    assert dec.pieces[0].ideal == MonomialIdeal(1, [(1,)])
+    assert piece_ideal(dec.pieces[0]) == MonomialIdeal(1, [(1,)])
 
 
 def test_csm_default_variable_is_largest_support_exponent():
@@ -183,8 +186,9 @@ def test_csm_decomposition_commutes_with_relabeling():
         inner = [moved_rest.index(perm[k]) for k in rest]
         assert len(moved.pieces) == len(dec.pieces)
         for piece, moved_piece in zip(dec.pieces, moved.pieces):
-            gens = [_rename(g, inner) for g in piece.ideal.generators]
-            assert moved_piece.ideal == MonomialIdeal(piece.ideal.n, gens), (spec, perm)
+            ideal = piece_ideal(piece)
+            gens = [_rename(g, inner) for g in ideal.generators]
+            assert piece_ideal(moved_piece) == MonomialIdeal(ideal.n, gens), (spec, perm)
             assert moved_piece.shift == piece.shift
             assert moved_piece.multiplier == piece.multiplier
 
@@ -209,9 +213,11 @@ def test_piece_closed_forms_match_the_ideal_routes():
     checked = 0
     for spec in grid + renamed:
         for piece in _pieces_recursively(spec):
-            ideal = piece.ideal
+            ideal = piece_ideal(piece)
             want = hilbert_series_by_colon(ideal)
             assert piece.series == want == hilbert_series_by_counting(ideal), (spec, piece)
+            assert piece.generators == ideal.sorted_generators(), (spec, piece)
+            assert piece.n == ideal.n
             checked += 1
     assert checked > 2 * len(grid)
 
@@ -427,9 +433,12 @@ def test_slp_symmetric_computes_each_piece_series_once(monkeypatch):
 
 
 def test_classify_maci_builds_no_monomial_ideal(monkeypatch):
-    # the rules and the symmetric scaffolding run on exponent data alone
+    # the rules and the symmetric scaffolding run on exponent data alone;
+    # classes certified by earlier tests are forgotten so the scaffolding runs
+    import lefschetz.classify as classify_mod
     import lefschetz.core as core_mod
 
+    classify_mod._certify_symmetric_class.cache_clear()
     grid = symmetric_grid([2, 3, 4], 6)
 
     def refuse(self, *args, **kwargs):
@@ -438,3 +447,90 @@ def test_classify_maci_builds_no_monomial_ideal(monkeypatch):
     monkeypatch.setattr(core_mod.MonomialIdeal, "__init__", refuse)
     verdicts = [classify_maci(spec) for spec in grid]
     assert {v.rule for v in verdicts} == {"n_eq_2", "n3_cube_le_2", "almost_centered", "symmetric_hs"}
+
+
+def _relabelings(spec):
+    for perm in permutations(range(spec.n)):
+        yield MaciSpec(_rename(spec.a, perm), _rename(spec.m, perm))
+
+
+def test_classify_maci_equals_the_per_spec_reference():
+    # each symmetric class is certified once, on its canonical spec; the
+    # verdicts, witness orders included, are those of certifying every spec
+    import lefschetz.classify as classify_mod
+
+    classify_mod._certify_symmetric_class.cache_clear()
+    rng = seeded(71)
+    grid = symmetric_grid([2, 3, 4], 8)
+    rng.shuffle(grid)
+    renamed = []
+    for spec in grid:
+        perm = list(range(spec.n))
+        rng.shuffle(perm)
+        renamed.append(MaciSpec(_rename(spec.a, perm), _rename(spec.m, perm)))
+    symmetric = 0
+    for spec in grid + renamed:
+        got = classify_maci(spec)
+        assert got == classify_maci_per_spec(spec), spec
+        symmetric += got.rule == "symmetric_hs"
+    classes = {spec.relabeling_class() for spec in grid}
+    assert symmetric > 2 * len(classes)
+
+
+def test_classify_maci_certifies_each_symmetric_class_once(monkeypatch):
+    import lefschetz.classify as classify_mod
+
+    classify_mod._certify_symmetric_class.cache_clear()
+    certified = []
+    real = classify_mod.slp_symmetric
+
+    def counting(spec):
+        certified.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(classify_mod, "slp_symmetric", counting)
+    spec = MaciSpec((1, 4, 2, 3), (0, 1, 1, 1))
+    verdicts = [classify_maci(other) for other in _relabelings(spec)]
+    assert len(verdicts) == 24 and all(v.rule == "symmetric_hs" for v in verdicts)
+    assert certified == [MaciSpec((1, 2, 3, 4), (0, 1, 1, 1))]
+
+
+def test_tampered_class_raises_for_every_labeled_spec(monkeypatch):
+    # a failed certification is not cached: every spec of the class raises,
+    # and each message names the labeled spec that was being classified
+    import lefschetz.classify as classify_mod
+
+    classify_mod._certify_symmetric_class.cache_clear()
+    real = classify_mod.csm_decomposition
+
+    def broken(s, var=None):
+        dec = real(s, var)
+        head = dec.pieces[0]
+        tampered = classify_mod.CsmPiece(head.quotient, head.shift + 1, head.multiplier)
+        return classify_mod.CsmDecomposition(dec.variable, (tampered,) + dec.pieces[1:])
+
+    monkeypatch.setattr(classify_mod, "csm_decomposition", broken)
+    specs = list(_relabelings(MaciSpec((2, 3, 4), (1, 1, 1))))
+    assert len(specs) == 6
+    for spec in specs:
+        with pytest.raises(HypothesisViolation) as info:
+            classify_maci(spec)
+        assert repr(spec) in str(info.value)
+        assert isinstance(info.value.__cause__, HypothesisViolation)
+
+
+def test_slp_symmetric_is_not_cached(monkeypatch):
+    import lefschetz.classify as classify_mod
+
+    calls = []
+    real = classify_mod.csm_decomposition
+
+    def counting(s, var=None):
+        calls.append(s)
+        return real(s, var)
+
+    monkeypatch.setattr(classify_mod, "csm_decomposition", counting)
+    spec = MaciSpec((2, 3, 4), (1, 1, 1))
+    assert slp_symmetric(spec) and slp_symmetric(spec)
+    assert calls == [spec, spec]
+

@@ -109,13 +109,44 @@ def test_survey_admits_the_benchmark_survey_grid():
 
 def test_csm_of_a_thousand_variable_spec_is_quick(capsys):
     # two 999-variable complete-intersection pieces; their generators are
-    # sorted once per ideal
+    # written from the exponents, with no ideal built
     spec = json.dumps({"a": [2, 3] + [1] * 998, "m": [1, 1] + [0] * 998})
     start = time.perf_counter()
     code, out, err = run(capsys, "csm", spec)
     assert time.perf_counter() - start < 5
     assert (code, err) == (0, "")
     assert out.startswith("linear form: x2\n") and out.count("\n") == 4
+
+
+def test_csm_of_complete_intersection_pieces_builds_no_ideal(capsys, monkeypatch):
+    import lefschetz.core as core_mod
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a MonomialIdeal was built")
+
+    monkeypatch.setattr(core_mod.MonomialIdeal, "__init__", refuse)
+    code, out, err = run(capsys, "csm", _wide_spec(1000))
+    assert (code, err) == (0, "")
+    # both pieces are x1, ..., x999 after x2 is dropped and the rest renumbered
+    gens = ", ".join(f"x{k}" for k in range(1, 1000))
+    assert out.splitlines()[1:3] == [
+        f"piece 1: ({gens}) in 999 variables, shift 0, multiplier 3",
+        f"piece 2: ({gens}) in 999 variables, shift 1, multiplier 1",
+    ]
+
+
+def test_classify_reports_a_failed_obligation_on_a_wide_spec(capsys, monkeypatch):
+    # the messages name the pieces by their exponent data: a dense ideal of
+    # 1499 variables would exceed the work budget and hide the violation
+    import lefschetz.classify as classify_mod
+
+    classify_mod._certify_symmetric_class.cache_clear()
+    monkeypatch.setattr(classify_mod, "coincides", lambda r1, r2: False)
+    spec = json.dumps({"a": [2, 3, 4] + [1] * 1497, "m": [1, 1, 1] + [0] * 1497})
+    code, out, err = run(capsys, "classify", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal hypothesis violation: ") and err.count("\n") == 1
+    assert "widened reflecting degree of piece MaciSpec(" in err
 
 
 def test_hilbert_rejects_bad_syntax(capsys):
