@@ -25,7 +25,7 @@ from math import comb
 from .analysis import coincides, is_symmetric, reflecting_degree, two_var_profile
 from .core import MAX_TABLE_ENTRIES, MAX_VAR_INDEX, check_table_size
 from .oracle import HypothesisViolation
-from .series import HilbertSeries, MaciSpec, ci_series
+from .series import HilbertSeries, MaciSpec, ci_series, compact_repr
 
 RULE_N_EQ_2 = "n_eq_2"
 RULE_N3_CUBE_LE_2 = "n3_cube_le_2"
@@ -238,10 +238,10 @@ def _check_symmetric_decomposition(spec, series, var=None):
         raise HypothesisViolation(f"widened piece series do not sum to the quotient series for {spec}")
     for piece, wide in zip(dec.pieces, widened):
         if not is_symmetric(piece.series):
-            raise HypothesisViolation(f"piece {piece.quotient} has a non-symmetric series for {spec}")
+            raise HypothesisViolation(f"piece {compact_repr(piece.quotient)} has a non-symmetric series for {spec}")
         if not coincides(reflecting_degree(wide), ambient):
             raise HypothesisViolation(
-                f"widened reflecting degree of piece {piece.quotient} misses that of {spec}"
+                f"widened reflecting degree of piece {compact_repr(piece.quotient)} misses that of {spec}"
             )
     head = dec.pieces[0]
     if isinstance(head.quotient, MaciSpec) and head.quotient.n >= 3:

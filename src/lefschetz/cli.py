@@ -45,17 +45,20 @@ def _load_json(text):
         raise ValueError("JSON input is nested too deeply") from None
 
 
-def _load_ideal(text, nvars=None):
-    if text.strip().startswith("{"):
-        return MaciSpec.from_dict(_load_json(text)).ideal()
-    return parse_ideal(text, n=nvars)
+def _json_spec(text, nvars):
+    """The MaciSpec of a JSON spec, whose n a --nvars must match, or None for ideal text."""
+    if not text.strip().startswith("{"):
+        return None
+    spec = MaciSpec.from_dict(_load_json(text))
+    if nvars not in (None, spec.n):
+        raise ValueError("declared --nvars does not match the exponent vectors")
+    return spec
 
 
 def _load_spec(text, nvars=None):
     """A MaciSpec straight from a JSON spec, or recovered from ideal text."""
-    if text.strip().startswith("{"):
-        return MaciSpec.from_dict(_load_json(text))
-    return maci_from_ideal(parse_ideal(text, n=nvars))
+    spec = _json_spec(text, nvars)
+    return maci_from_ideal(parse_ideal(text, n=nvars)) if spec is None else spec
 
 
 def _load_grid(text):
@@ -179,17 +182,16 @@ def _emit(args, payload, human):
 
 def cmd_hilbert(args):
     # a JSON spec has a closed form, so its ideal is never built
-    if args.ideal.strip().startswith("{"):
-        series = MaciSpec.from_dict(_load_json(args.ideal)).series()
-    else:
-        series = hilbert_series(parse_ideal(args.ideal, n=args.nvars))
+    spec = _json_spec(args.ideal, args.nvars)
+    series = hilbert_series(parse_ideal(args.ideal, n=args.nvars)) if spec is None else spec.series()
     human = f"{series.to_text()}\ncoefficients: {', '.join(str(c) for c in series.coeffs)}"
     _emit(args, series.as_dict(), human)
     return 0
 
 
 def cmd_check(args):
-    ideal = _load_ideal(args.ideal, args.nvars)
+    spec = _json_spec(args.ideal, args.nvars)
+    ideal = parse_ideal(args.ideal, n=args.nvars) if spec is None else spec.ideal()
     if args.matrix is not None:
         i, t = args.matrix
         for row in multiplication_matrix(ideal, i, t):

@@ -146,9 +146,6 @@ class MonomialIdeal:
         (x1 largest), as a tuple sorted once."""
         return self._sorted
 
-    def is_zero(self) -> bool:
-        return not self.generators
-
     def is_unit(self) -> bool:
         return bool(self.cross) and self.cross[0].is_unit()  # then the only generator
 

@@ -56,13 +56,12 @@ its ``certificate``:
 * "mod_p": full rank mod p;
 * "kernel": rank mod p, matched by verified integer kernel vectors;
 * "exact": rank from the Bareiss fallback;
-* "implied": full rank implied by the proven cell in ``implied_by``;
-* "empty": the source or the target is the zero space.
+* "implied": full rank implied by the proven cell in ``implied_by``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from math import factorial, isqrt, lcm
 
 import numpy as np
@@ -99,7 +98,6 @@ CERT_MOD_P = "mod_p"  # full rank shown by elimination modulo the prime
 CERT_KERNEL = "kernel"  # rank mod p matched by kernel vectors verified over Z
 CERT_EXACT = "exact"  # rank from the fraction-free elimination fallback
 CERT_IMPLIED = "implied"  # full rank follows from another proven cell
-CERT_EMPTY = "empty"  # source or target is the zero space
 
 
 class HypothesisViolation(RuntimeError):
@@ -367,34 +365,47 @@ def _certified_rank(cell, residues, table, i, t):
 
 @dataclass
 class MapRecord:
-    """One multiplication map l^t : A_i -> A_{i+t} with its exact rank."""
+    """One map l^t : A_i -> A_{i+t}, its exact rank and what that rank makes it."""
 
     i: int
     t: int
     dim_src: int
     dim_tgt: int
     rank: int
-    full_rank: bool
-    reason: str
-    certificate: str  # one of CERT_MOD_P, CERT_KERNEL, CERT_EXACT, CERT_IMPLIED, CERT_EMPTY
+    full_rank: bool = field(init=False)
+    reason: str = field(init=False)
+    certificate: str  # one of CERT_MOD_P, CERT_KERNEL, CERT_EXACT, CERT_IMPLIED
     implied_by: object = None  # (i, t) of the proven cell implying this one
 
+    def __post_init__(self):
+        self.full_rank = self.rank == min(self.dim_src, self.dim_tgt)
+        if self.rank == self.dim_src:
+            self.reason = REASON_BIJECTIVE if self.rank == self.dim_tgt else REASON_INJECTIVE
+        else:
+            self.reason = REASON_SURJECTIVE if self.rank == self.dim_tgt else REASON_NEITHER
+
     def as_dict(self):
-        record = dict(vars(self))  # the fields, in declaration order
+        # the fields in declaration order; vars() would put the derived ones last
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
         record["implied_by"] = None if self.implied_by is None else list(self.implied_by)
         return record
 
 
 @dataclass
 class LefschetzReport:
-    """All maps with i + t <= socle degree, plus the WLP/SLP verdicts."""
+    """All maps with i + t <= socle in (t, i) order, and the verdicts they give."""
 
     ideal: MonomialIdeal
     series: HilbertSeries
     maps: list
-    wlp: bool
-    slp: bool
-    witnesses: list  # failing (i, t) pairs
+    wlp: bool = field(init=False)
+    slp: bool = field(init=False)
+    witnesses: list = field(init=False)
+
+    def __post_init__(self):
+        self.witnesses = [(rec.i, rec.t) for rec in self.maps if not rec.full_rank]
+        self.wlp = all(rec.full_rank for rec in self.maps if rec.t == 1)
+        self.slp = not self.witnesses
 
     def as_dict(self):
         return {
@@ -408,28 +419,13 @@ class LefschetzReport:
         }
 
 
-def _reason_for(rank, dim_src, dim_tgt):
-    # maps from the zero space are injective, maps onto it surjective
-    if dim_src == 0 and dim_tgt == 0:
-        return REASON_BIJECTIVE
-    if dim_src == 0:
-        return REASON_INJECTIVE
-    if dim_tgt == 0:
-        return REASON_SURJECTIVE
-    if rank == dim_src == dim_tgt:
-        return REASON_BIJECTIVE
-    if rank == dim_src:
-        return REASON_INJECTIVE
-    if rank == dim_tgt:
-        return REASON_SURJECTIVE
-    return REASON_NEITHER
-
-
 def lefschetz_report(ideal) -> LefschetzReport:
     """Exact rank record of every map l^t : A_i -> A_{i+t}, i + t <= socle.
 
     Beyond the socle degree every target space is zero and full rank is
-    automatic, so those cells are not enumerated.  Cells are visited from
+    automatic, so those cells are not enumerated.  No cell has a zero source
+    or target: A_i = 0 would force A_{i+1} = A_1 A_i = 0, so the Hilbert
+    function has no internal zeros (Harima et al.).  Cells are visited from
     t = socle down to 1, and a cell whose full rank follows from cells
     already proven (see the module docstring) is recorded without being
     ranked; records are returned in (t, i) order all the same.
@@ -437,7 +433,7 @@ def lefschetz_report(ideal) -> LefschetzReport:
     keys, table, center = _power_table(ideal)
     series = HilbertSeries([len(bucket) for bucket in keys])
     if series.is_zero():
-        return LefschetzReport(ideal, series, [], True, True, [])
+        return LefschetzReport(ideal, series, [])
     socle = series.socle_degree
     residues = (table % _PRIME).astype(np.int64)
 
@@ -448,28 +444,20 @@ def lefschetz_report(ideal) -> LefschetzReport:
         for i in range(0, socle - t + 1):
             dim_src = len(keys[i])
             dim_tgt = len(keys[i + t])
-            small = min(dim_src, dim_tgt)
             implied_by = None
-            if small == 0:
-                rank, certificate = 0, CERT_EMPTY
-            elif dim_src <= dim_tgt and i in injective:
-                rank, certificate, implied_by = small, CERT_IMPLIED, injective[i]
+            if dim_src <= dim_tgt and i in injective:
+                rank, certificate, implied_by = dim_src, CERT_IMPLIED, injective[i]
             elif dim_src >= dim_tgt and i + t >= surjective[0]:
-                rank, certificate, implied_by = small, CERT_IMPLIED, surjective[1]
+                rank, certificate, implied_by = dim_tgt, CERT_IMPLIED, surjective[1]
             else:
                 cell = center + keys[i + t][:, None] - keys[i]
                 rank, certificate = _certified_rank(cell, residues, table, i, t)
-            full = rank == small
+            rec = MapRecord(i, t, dim_src, dim_tgt, rank, certificate, implied_by)
             # a full-rank square cell is bijective and proves both directions
-            if full and dim_src <= dim_tgt:
+            if rec.full_rank and dim_src <= dim_tgt:
                 injective.setdefault(i, (i, t))
-            if full and dim_src >= dim_tgt and i + t < surjective[0]:
+            if rec.full_rank and dim_src >= dim_tgt and i + t < surjective[0]:
                 surjective = (i + t, (i, t))
-            reason = _reason_for(rank, dim_src, dim_tgt)
-            rec = MapRecord(i, t, dim_src, dim_tgt, rank, full, reason, certificate, implied_by)
             maps.append(rec)
     maps.sort(key=lambda rec: (rec.t, rec.i))
-    witnesses = [(rec.i, rec.t) for rec in maps if not rec.full_rank]
-    wlp = all(rec.full_rank for rec in maps if rec.t == 1)
-    slp = not witnesses
-    return LefschetzReport(ideal, series, maps, wlp, slp, witnesses)
+    return LefschetzReport(ideal, series, maps)

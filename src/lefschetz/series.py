@@ -10,6 +10,7 @@ for one extra generator, and otherwise a count of the standard-monomial basis.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 
 from .core import (
     Monomial,
@@ -183,6 +184,21 @@ def hilbert_series(ideal) -> HilbertSeries:
     return HilbertSeries([len(bucket) for bucket in standard_monomial_table(ideal)])
 
 
+def compact_repr(value) -> str:
+    """Python text for a MaciSpec or an exponent tuple, each run of 8 or more
+    equal exponents written (e,) * k: exact, evaluable and short when wide."""
+    if isinstance(value, MaciSpec):
+        return f"MaciSpec(a={compact_repr(value.a)}, m={compact_repr(value.m)})"
+    runs = [(e, len(list(run))) for e, run in groupby(value)]
+    parts = []
+    for wide, group in groupby(runs, key=lambda run: run[1] >= 8):
+        if wide:
+            parts += [f"({e},) * {k}" for e, k in group]
+        else:
+            parts.append(repr(tuple(e for e, k in group for _ in range(k))))
+    return " + ".join(parts) or "()"
+
+
 class MaciSpec:
     """Pure powers a_1..a_n plus one extra monomial generator m.
 
@@ -224,8 +240,7 @@ class MaciSpec:
     def __hash__(self):
         return hash((self.a, self.m))
 
-    def __repr__(self):
-        return f"MaciSpec(a={self.a}, m={tuple(self.m)})"
+    __repr__ = compact_repr
 
     def relabeling_class(self):
         """Key shared by every renaming of the variables of this spec.
@@ -258,13 +273,10 @@ class MaciSpec:
         slack = min(self.a[i] - self.m[i] for i in self.support)
         return sum(self.a) - self.n - slack
 
-    def as_dict(self):
-        return {"n": self.n, "a": list(self.a), "m": list(self.m)}
-
     @classmethod
     def from_dict(cls, data):
-        """Strict inverse of as_dict: "a" and "m" are lists of plain ints,
-        "n" is optional and no other key is allowed."""
+        """The spec of a decoded JSON object, read strictly: "a" and "m" are
+        lists of plain ints, "n" is optional and no other key is allowed."""
         unknown = sorted(set(data) - {"n", "a", "m"})
         if unknown:
             raise ValueError(f"unknown keys in the spec: {', '.join(unknown)}")

@@ -31,12 +31,10 @@ from lefschetz.classify import RULE_SYMMETRIC_HS
 from lefschetz.cli import _survey_one, survey_rows
 from lefschetz.oracle import (
     _PRIME,
-    CERT_EMPTY,
     CERT_EXACT,
     CERT_MOD_P,
     _echelon_mod_prime,
     _power_table,
-    _reason_for,
 )
 
 SHAPE_ALL_ON_TOP = "all_on_top"
@@ -147,7 +145,7 @@ def hilbert_series_by_colon(ideal):
 
 def render_ideal(ideal):
     """Inverse of parse_ideal on nonzero, non-unit ideals."""
-    if ideal.is_zero():
+    if not ideal.generators:
         raise ValueError("the zero ideal has no text form")
     if ideal.is_unit():
         raise ValueError("the unit ideal has no text form")
@@ -297,44 +295,31 @@ def lefschetz_report_all_cells(ideal):
     """Reference report that ranks every cell l^t : A_i -> A_{i+t}, i + t <= socle.
 
     Each cell is ranked mod p and, below full rank, again by Bareiss
-    elimination; nothing is implied.  Records, witnesses and verdicts come
-    in (t, i) order, like lefschetz_report.
+    elimination; nothing is implied.  Records come in (t, i) order, like
+    lefschetz_report, and the report derives its verdicts from them.
     """
     keys, table, center = _power_table(ideal)
     series = hilbert_series(ideal)
     if series.is_zero():
-        return LefschetzReport(ideal, series, [], True, True, [])
+        return LefschetzReport(ideal, series, [])
     socle = series.socle_degree
     residues = (table % _PRIME).astype(np.int64)
 
     maps = []
-    witnesses = []
     for t in range(1, socle + 1):
         for i in range(0, socle - t + 1):
-            dim_src = len(keys[i])
-            dim_tgt = len(keys[i + t])
-            small = min(dim_src, dim_tgt)
-            if small == 0:
-                rank, certificate = 0, CERT_EMPTY
-            else:
-                cell = center + keys[i + t][:, None] - keys[i]
-                pivots, _ = _echelon_mod_prime(residues[cell], _PRIME)
-                rank, certificate = len(pivots), CERT_MOD_P
-                if rank < small:
-                    exact = matrix_rank(table[cell].tolist())
-                    if exact < rank:
-                        raise HypothesisViolation(
-                            f"exact rank {exact} of l^{t} on degree {i} is below its rank mod p, {rank}"
-                        )
-                    rank, certificate = exact, CERT_EXACT
-            full = rank == small
-            reason = _reason_for(rank, dim_src, dim_tgt)
-            maps.append(MapRecord(i, t, dim_src, dim_tgt, rank, full, reason, certificate))
-            if not full:
-                witnesses.append((i, t))
-    wlp = all(rec.full_rank for rec in maps if rec.t == 1)
-    slp = not witnesses
-    return LefschetzReport(ideal, series, maps, wlp, slp, witnesses)
+            cell = center + keys[i + t][:, None] - keys[i]
+            pivots, _ = _echelon_mod_prime(residues[cell], _PRIME)
+            rank, certificate = len(pivots), CERT_MOD_P
+            if rank < min(cell.shape):
+                exact = matrix_rank(table[cell].tolist())
+                if exact < rank:
+                    raise HypothesisViolation(
+                        f"exact rank {exact} of l^{t} on degree {i} is below its rank mod p, {rank}"
+                    )
+                rank, certificate = exact, CERT_EXACT
+            maps.append(MapRecord(i, t, len(keys[i]), len(keys[i + t]), rank, certificate))
+    return LefschetzReport(ideal, series, maps)
 
 
 def tensor_map_full_rank(base_series, d, i, t) -> bool:

@@ -392,6 +392,27 @@ def test_hypothesis_violation_when_identity_is_broken(monkeypatch):
         slp_symmetric(spec)
 
 
+@pytest.mark.parametrize(
+    "obligation, message",
+    [
+        ("palindrome", "is not a palindrome"),
+        ("piece symmetry", "has a non-symmetric series"),
+    ],
+)
+def test_each_symmetry_obligation_raises_when_broken(monkeypatch, obligation, message):
+    # only the spec's own series passes as a palindrome for "piece symmetry"
+    import lefschetz.classify as classify_mod
+
+    spec = MaciSpec((2, 3, 4), (1, 1, 1))
+    ambient = spec.series()
+    if obligation == "palindrome":
+        monkeypatch.setattr(classify_mod, "is_symmetric", lambda series: False)
+    else:
+        monkeypatch.setattr(classify_mod, "is_symmetric", lambda series: series == ambient)
+    with pytest.raises(HypothesisViolation, match=message):
+        slp_symmetric(spec)
+
+
 def test_slp_symmetric_computes_each_piece_series_once(monkeypatch):
     # every series on the path is a closed form: the spec's own
     # MaciSpec.series, then one MaciSpec.series or ci_series per piece,

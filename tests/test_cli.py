@@ -8,8 +8,11 @@ import pytest
 
 from lefschetz.cli import main, survey_rows
 from lefschetz.classify import (
+    CsmDecomposition,
+    CsmPiece,
     HypothesisViolation,
     all_maci_grid,
+    csm_decomposition,
     grid_from_json,
     support_two_grid,
     symmetric_grid,
@@ -147,6 +150,9 @@ def test_classify_reports_a_failed_obligation_on_a_wide_spec(capsys, monkeypatch
     assert (code, out) == (2, "")
     assert err.startswith("internal hypothesis violation: ") and err.count("\n") == 1
     assert "widened reflecting degree of piece MaciSpec(" in err
+    # every spec is written with its runs of equal exponents collapsed
+    assert "MaciSpec(a=(2, 3, 4) + (1,) * 1497, m=(1, 1, 1) + (0,) * 1497)" in err
+    assert len(err) < 1000
 
 
 def test_hilbert_rejects_bad_syntax(capsys):
@@ -211,6 +217,9 @@ def test_check_matrix_dump_of_unit_quotient(capsys):
         "x1^\uff102, x2^2, x1*x2",
         "x\u0661^2, x2^2, x1*x2",
         '{"a": [3, 3], "m": [1, 1], "M": [2, 2], "nn": 7}',
+        "x10001^2",
+        '{"a": [9223372036854775809, 3], "m": [9223372036854775808, 1]}',
+        '{"a": [2, 3, 4], "m": [1, 1]}',
     ],
 )
 def test_strict_input_boundary(capsys, text):
@@ -218,6 +227,16 @@ def test_strict_input_boundary(capsys, text):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["hilbert", "check", "classify", "csm"])
+def test_nvars_must_match_a_json_spec(capsys, command):
+    spec = '{"a": [2, 3], "m": [1, 1]}'
+    code, out, err = run(capsys, "--nvars", "5", command, spec)
+    assert (code, out) == (1, "")
+    assert err == "error: declared --nvars does not match the exponent vectors\n"
+    answer = run(capsys, command, spec)
+    assert answer[0] == 0 and run(capsys, "--nvars", "2", command, spec) == answer
 
 
 def test_spec_json_names_unknown_keys(capsys):
@@ -329,6 +348,37 @@ def test_hypothesis_violation_exits_two(capsys, monkeypatch):
     code, _, err = run(capsys, "classify", "x1^2, x2^3, x1*x2")
     assert code == 2
     assert "hypothesis violation" in err
+
+
+def test_csm_exits_two_when_the_pieces_miss_the_quotient_series(capsys, monkeypatch):
+    import lefschetz.cli as cli_mod
+
+    def shifted(spec, var=None):
+        dec = csm_decomposition(spec, var)
+        head = dec.pieces[0]
+        tampered = CsmPiece(head.quotient, head.shift + 1, head.multiplier)
+        return CsmDecomposition(dec.variable, (tampered,) + dec.pieces[1:])
+
+    monkeypatch.setattr(cli_mod, "csm_decomposition", shifted)
+    code, out, err = run(capsys, "csm", "x1^2, x2^3, x3^4, x1*x2*x3")
+    assert (code, out) == (2, "")
+    assert err.startswith("internal hypothesis violation: widened piece series sum to ")
+    assert err.count("\n") == 1
+
+
+def test_survey_csv_leaves_cells_empty_where_no_rule_applies(tmp_path, capsys):
+    # a=(2, 2, 2), m=(1, 1, 1) has full support and a non-symmetric series
+    grid = json.dumps({"family": "all_maci", "n": 3, "max_exp": 2})
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "--jobs", "1", "survey", grid, "--out", str(out_path))
+    assert (code, err) == (0, "")
+    with open(out_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    unclassified = [row for row in rows if row["slp_predicted"] == ""]
+    assert [(row["a"], row["m"], row["agreement"]) for row in unclassified] == [
+        ("2 2 2", "1 1 1", "")
+    ]
+    assert all(row["agreement"] == "true" for row in rows if row["slp_predicted"])
 
 
 def test_survey_writes_csv_and_json_identically(tmp_path, capsys):

@@ -17,6 +17,7 @@ from lefschetz import (
     minimalize,
     parse_ideal,
     pure_power,
+    render_monomial,
     standard_monomial_table,
 )
 from _util import (
@@ -53,6 +54,32 @@ def test_monomial_basics():
     assert times(m, (0, 1, 0)) == Monomial((2, 1, 1))
     with pytest.raises(ValueError):
         Monomial((1, -1))
+    with pytest.raises(OverflowError, match="63-bit guard"):
+        Monomial((2**63,))
+
+
+@pytest.mark.parametrize(
+    "n, generators, error",
+    [(0, [], "need at least one variable"), (2, [(1, 2, 3)], "does not live in 2 variables")],
+    ids=["no_variables", "wrong_length"],
+)
+def test_monomial_ideal_refuses_a_malformed_shape(n, generators, error):
+    with pytest.raises(ValueError, match=error):
+        MonomialIdeal(n, generators)
+
+
+def test_spec_repr_is_compact_exact_and_evaluable():
+    # runs of 8 or more equal exponents are written (e,) * k; shorter ones as they are
+    narrow = MaciSpec((2, 3, 4), (1, 1, 1))
+    wide = MaciSpec((2, 3, 4) + (1,) * 1497, (1, 1, 1) + (0,) * 1497)
+    mixed = MaciSpec((5,) * 8 + (3,) * 7 + (2,), (1,) * 8 + (0,) * 7 + (1,))
+    assert repr(narrow) == "MaciSpec(a=(2, 3, 4), m=(1, 1, 1))"
+    assert repr(wide) == "MaciSpec(a=(2, 3, 4) + (1,) * 1497, m=(1, 1, 1) + (0,) * 1497)"
+    assert repr(mixed) == (
+        "MaciSpec(a=(5,) * 8 + (3, 3, 3, 3, 3, 3, 3, 2), m=(1,) * 8 + (0, 0, 0, 0, 0, 0, 0, 1))"
+    )
+    for spec in (narrow, wide, mixed):
+        assert eval(repr(spec)) == spec
 
 
 def test_parse_togliatti():
@@ -396,6 +423,8 @@ def test_maci_spec_validation():
         MaciSpec((3, 0), (1, 1))
     with pytest.raises(ValueError):
         MaciSpec((3,), (1,))
+    with pytest.raises(ValueError, match="different lengths"):
+        MaciSpec((3, 3, 3), (1, 1))
 
 
 def test_maci_from_ideal():
@@ -405,6 +434,8 @@ def test_maci_from_ideal():
         maci_from_ideal(parse_ideal("x1^2, x2^2"))
     with pytest.raises(ValueError):
         maci_from_ideal(parse_ideal("x1^4, x2^4, x1*x2^2, x1^2*x2"))
+    with pytest.raises(ValueError, match="not Artinian"):
+        maci_from_ideal(parse_ideal("x1^2, x1*x2"))
 
 
 def test_render_parse_roundtrip_small():
@@ -414,6 +445,8 @@ def test_render_parse_roundtrip_small():
         assert parse_ideal(render_ideal(ideal)) == ideal, ideal
     with pytest.raises(ValueError):
         render_ideal(MonomialIdeal(2, [Monomial((0, 0))]))
+    with pytest.raises(ValueError, match="unit monomial has no text form"):
+        render_monomial((0, 0))
 
 
 def test_pure_power_helper():

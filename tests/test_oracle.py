@@ -75,6 +75,8 @@ def test_matrix_validation():
         multiplication_matrix(TOGLIATTI, 0, 0)
     with pytest.raises(ValueError):
         multiplication_matrix(TOGLIATTI, -1, 1)
+    with pytest.raises(ValueError, match="non-Artinian"):
+        multiplication_matrix(parse_ideal("x1^2, x1*x2"), 0, 1)
 
 
 def test_matrix_column_sums_at_t_one():
@@ -163,6 +165,18 @@ def test_report_two_variables():
 def test_report_unit_quotient_is_vacuous():
     report = lefschetz_report(MonomialIdeal(2, [Monomial((0, 0))]))
     assert report.slp and report.wlp and report.maps == []
+
+
+def test_report_cells_never_touch_the_zero_space():
+    # the Hilbert function has no internal zeros, so every cell with
+    # i + t <= socle has a nonzero source and target
+    rng = seeded(151)
+    ideals = [rand_artinian_ideal(rng, rng.randint(1, 4), max_bound=5, extra=3) for _ in range(40)]
+    ideals += [rand_maci(rng, rng.randint(2, 4), 5).ideal() for _ in range(20)]
+    for ideal in ideals:
+        for rec in lefschetz_report(ideal).maps:
+            assert rec.dim_src >= 1 and rec.dim_tgt >= 1, (ideal, rec)
+            assert rec.certificate in ("mod_p", "kernel", "exact", "implied"), (ideal, rec)
 
 
 def test_report_reason_bookkeeping():
