@@ -230,7 +230,10 @@ def _check_symmetric_decomposition(spec, series, var=None):
     """Re-check the proof obligations of the decomposition of spec, whose
     Hilbert series is series, and recurse into the head piece."""
     if not is_symmetric(series):
-        raise HypothesisViolation(f"series {series.coeffs} is not a palindrome for {spec}")
+        top = series.socle_degree
+        first = next((d for d in range(top + 1) if series[d] != series[top - d]), None)
+        where = "" if first is None else f", h_{first} = {series[first]} but h_{top - first} = {series[top - first]}"
+        raise HypothesisViolation(f"series of socle degree {top} is not a palindrome{where} for {spec}")
     ambient = reflecting_degree(series)
     dec = csm_decomposition(spec, var)
     widened = [piece.widened_series() for piece in dec.pieces]

@@ -167,15 +167,15 @@ def write_survey_csv(rows, fh):
 
 
 def write_survey_json(rows, fh):
-    # getattr over the columns: dataclasses.asdict would deep-copy every field
-    records = [{name: getattr(row, name) for name in SURVEY_COLUMNS} for row in rows]
-    json.dump(records, fh, indent=1)
-    fh.write("\n")
+    fh.write("[")  # one compact record per line, so json uses its C encoder
+    for k, row in enumerate(rows):
+        fh.write(("," if k else "") + "\n" + json.dumps({c: getattr(row, c) for c in SURVEY_COLUMNS}))
+    fh.write("\n]\n")
 
 
 def _emit(args, payload, human):
     if args.json:
-        print(json.dumps(payload, indent=1))
+        print(json.dumps(payload))
     else:
         print(human)
 

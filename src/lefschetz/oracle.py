@@ -9,7 +9,7 @@ and this one form decides the weak and strong Lefschetz properties.
 Every matrix entry is read from one exact table: the coefficient of x^d in
 l^|d|, for every exponent difference d that two standard monomials can
 have (see ``_power_table``); the report's Hilbert series is counted from
-the same basis, int64 exponent arrays over the variables with a_j >= 2,
+the same basis, int64 exponent arrays over the factor's variables,
 enumerated once the table's budget is checked.  The table is reduced
 modulo a prime below 2^26 once per report, and ``_certified_rank``
 eliminates each ranked cell once modulo the prime, in its narrower
@@ -41,7 +41,7 @@ rank from cells already proven (Migliore, Miro-Roig and Nagel, Trans. AMS
 * if l^t : A_i -> A_{i+t} is surjective, so is l^t : A_{i+1} -> A_{i+1+t},
   because A is generated in degree 1.
 
-``lefschetz_report`` therefore visits t from the socle degree down to 1,
+``_scheduled_maps`` therefore visits t from the socle degree down to 1,
 keeping the sources proven injective and the least i + t of a cell proven
 surjective.  A cell that must be injective (dim A_i <= dim A_{i+t}) is
 implied when its source is proven injective; one that must be surjective
@@ -56,18 +56,25 @@ its ``certificate``:
 * "mod_p": full rank mod p;
 * "kernel": rank mod p, matched by verified integer kernel vectors;
 * "exact": rank from the Bareiss fallback;
-* "implied": full rank implied by the proven cell in ``implied_by``.
+* "implied": full rank implied by the proven cell in ``implied_by``;
+* "tensor": rank on several factors (``_components``), from their Jordan
+  strings: [s, e] times [s', e'], of lengths L and M, is k[u, v]/(u^L, v^M)
+  with l = u + v, strong Lefschetz in characteristic zero (Stanley 1980;
+  Watanabe 1987), so it splits into [s + s' + k, e + e' - k], k < min(L, M):
+  the Clebsch-Gordan rule (Iarrobino, Marques and McDaniel, J. Commut. Algebra 2022).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from math import factorial, isqrt, lcm
 
 import numpy as np
 
-from .core import MonomialIdeal, check_table_size, pure_power, standard_monomial_table
-from .series import HilbertSeries
+from .core import MonomialIdeal, check_table_size, standard_monomial_table
+from .series import HilbertSeries, ci_series
 
 _PRIME = 67_108_859  # the largest prime below 2^26; see _REDUCE_EVERY
 # the largest primes below 2^26, for Chinese remaindering of kernel vectors;
@@ -98,6 +105,7 @@ CERT_MOD_P = "mod_p"  # full rank shown by elimination modulo the prime
 CERT_KERNEL = "kernel"  # rank mod p matched by kernel vectors verified over Z
 CERT_EXACT = "exact"  # rank from the fraction-free elimination fallback
 CERT_IMPLIED = "implied"  # full rank follows from another proven cell
+CERT_TENSOR = "tensor"  # from the factors' ranks by the Clebsch-Gordan rule
 
 
 class HypothesisViolation(RuntimeError):
@@ -106,6 +114,25 @@ class HypothesisViolation(RuntimeError):
     Either the implementation is wrong or the input is a genuine
     counterexample; both must be surfaced, never suppressed.
     """
+
+
+def _restrict(ideal, variables):
+    """The generators that use no variable outside ``variables``, in those alone."""
+    gens = [[g[j] for j in variables] for g in ideal.generators if set(g.support) <= set(variables)]
+    return MonomialIdeal(len(variables), gens)
+
+
+def _components(ideal):
+    """The variables with a_j >= 2 in groups linked by cross generators (one
+    alone is free), by least variable, or x1 alone for the field or the unit
+    ideal (no bounds): the quotient is the tensor product of ``_restrict`` on each."""
+    if not ideal.is_artinian():
+        raise ValueError("standard monomials form an infinite set for a non-Artinian ideal")
+    group = {j: (j,) for j, a in enumerate(ideal.bounds) if (a or 0) > 1}
+    for g in ideal.cross:
+        merged = tuple(sorted({k for j in g.support for k in group[j]}))
+        group.update((k, merged) for k in merged)
+    return sorted(set(group.values())) or [(0,)]
 
 
 def _power_table(ideal):
@@ -118,41 +145,28 @@ def _power_table(ideal):
     the multinomial |d|! / prod(d_j!) as a Python int where d >= 0 and 0
     elsewhere.  Each degree-i standard monomial u gets the mixed-radix key
     sum(u_j * w_j) with the strides w_j of the box, so the entry for (u, v)
-    sits at ``center + key(u) - key(v)``.
-
-    Only the quotient's own variables, those with a_j >= 2, get an axis: x_j
-    with a_j = 1 is zero in the quotient, so d_j is always 0.  Once the
-    budget prod(2 a_j - 1) is checked, the basis is enumerated on the ideal
-    restricted to those variables, so the basis, the table and the keys
-    share their axes.
+    sits at ``center + key(u) - key(v)``.  Every variable of the Artinian
+    ideal gets an axis, so the oracle passes it ``_restrict``-ed.
 
     Returns (keys by degree as int64 arrays, flat object table, center).
     A box of more than MAX_TABLE_ENTRIES entries is a ValueError.
     """
-    if not ideal.is_artinian():
-        raise ValueError("standard monomials form an infinite set for a non-Artinian ideal")
     if ideal.is_unit():  # no monomials and no entries
         return (), np.zeros(0, dtype=object), 0
     check_table_size([2 * a - 1 for a in ideal.bounds])
-    # when every a_j is 1 the quotient is the field, kept on the axis of x1
-    axes = [j for j, a in enumerate(ideal.bounds) if a > 1] or [0]
-    bounds = [ideal.bounds[j] for j in axes]
-    # a minimal cross generator has no exponent on an x_j with a_j = 1
-    gens = [pure_power(len(axes), k, a) for k, a in enumerate(bounds)]
-    gens += [[g[j] for j in axes] for g in ideal.cross]
-    basis = standard_monomial_table(MonomialIdeal(len(axes), gens))
-    fact = [factorial(k) for k in range(sum(bounds) - len(axes) + 1)]
+    basis = standard_monomial_table(ideal)
+    fact = [factorial(k) for k in range(sum(ideal.bounds) - ideal.n + 1)]
     degree = np.zeros((), dtype=np.int64)
     denom = np.ones((), dtype=object)
-    for a in bounds:
+    for a in ideal.bounds:
         degree = np.add.outer(degree, np.arange(a))
         denom = np.multiply.outer(denom, np.array(fact[:a], dtype=object))
-    table = np.zeros([2 * a - 1 for a in bounds], dtype=object)
-    table[tuple(slice(a - 1, None) for a in bounds)] = (
+    table = np.zeros([2 * a - 1 for a in ideal.bounds], dtype=object)
+    table[tuple(slice(a - 1, None) for a in ideal.bounds)] = (
         np.array(fact, dtype=object)[degree] // denom
     )
     strides = np.array(table.strides, dtype=np.int64) // table.itemsize
-    center = int(strides @ (np.array(bounds, dtype=np.int64) - 1))
+    center = int(strides @ (np.array(ideal.bounds, dtype=np.int64) - 1))
     keys = [bucket @ strides for bucket in basis]
     return keys, table.ravel(), center
 
@@ -171,7 +185,7 @@ def multiplication_matrix(ideal, i, t):
         raise ValueError("the power t must be >= 1")
     if i < 0:
         raise ValueError("the source degree must be >= 0")
-    keys, table, center = _power_table(ideal)
+    keys, table, center = _power_table(_restrict(ideal, sorted(sum(_components(ideal), ()))))
     empty = np.zeros(0, dtype=np.int64)
     src = keys[i] if i < len(keys) else empty
     tgt = keys[i + t] if i + t < len(keys) else empty
@@ -374,7 +388,7 @@ class MapRecord:
     rank: int
     full_rank: bool = field(init=False)
     reason: str = field(init=False)
-    certificate: str  # one of CERT_MOD_P, CERT_KERNEL, CERT_EXACT, CERT_IMPLIED
+    certificate: str  # one of CERT_MOD_P, CERT_KERNEL, CERT_EXACT, CERT_IMPLIED, CERT_TENSOR
     implied_by: object = None  # (i, t) of the proven cell implying this one
 
     def __post_init__(self):
@@ -398,6 +412,7 @@ class LefschetzReport:
     ideal: MonomialIdeal
     series: HilbertSeries
     maps: list
+    components: tuple = ()  # with several factors: (variables, a_j or ideal) of each
     wlp: bool = field(init=False)
     slp: bool = field(init=False)
     witnesses: list = field(init=False)
@@ -408,7 +423,7 @@ class LefschetzReport:
         self.slp = not self.witnesses
 
     def as_dict(self):
-        return {
+        report = {
             "n": self.ideal.n,
             "generators": [list(g) for g in self.ideal.sorted_generators()],
             "hilbert_series": self.series.as_dict(),
@@ -417,10 +432,19 @@ class LefschetzReport:
             "witnesses": [list(w) for w in self.witnesses],
             "maps": [rec.as_dict() for rec in self.maps],
         }
+        for part, f in self.components:
+            entry = {"variables": [j + 1 for j in part]}
+            if isinstance(f, int):
+                entry["exponent"] = f
+            else:
+                series, _, records = _component(f)
+                entry["report"] = LefschetzReport(f, series, [MapRecord(*r) for r in records]).as_dict()
+            report.setdefault("components", []).append(entry)
+        return report
 
 
-def lefschetz_report(ideal) -> LefschetzReport:
-    """Exact rank record of every map l^t : A_i -> A_{i+t}, i + t <= socle.
+def _scheduled_maps(ideal):
+    """Series and records of the implication-scheduled ranking of ``ideal``.
 
     Beyond the socle degree every target space is zero and full rank is
     automatic, so those cells are not enumerated.  No cell has a zero source
@@ -433,7 +457,7 @@ def lefschetz_report(ideal) -> LefschetzReport:
     keys, table, center = _power_table(ideal)
     series = HilbertSeries([len(bucket) for bucket in keys])
     if series.is_zero():
-        return LefschetzReport(ideal, series, [])
+        return series, []
     socle = series.socle_degree
     residues = (table % _PRIME).astype(np.int64)
 
@@ -460,4 +484,56 @@ def lefschetz_report(ideal) -> LefschetzReport:
                 surjective = (i + t, (i, t))
             maps.append(rec)
     maps.sort(key=lambda rec: (rec.t, rec.i))
-    return LefschetzReport(ideal, series, maps)
+    return series, maps
+
+
+@lru_cache(maxsize=1024)
+def _component(factor):
+    """Series, strings ((s, e), count) and records (MapRecord init fields) of a free
+    exponent a, one string [0, a - 1], or of a linked group's ideal, whose strings [s, e]
+    number r(s, e-s) - r(s-1, e-s+1) - r(s, e-s+1) + r(s-1, e-s+2), r(i, t) = rank l^t|A_i."""
+    if isinstance(factor, int):  # nothing to rank
+        return ci_series((factor,)), (((0, factor - 1), 1),), ()
+    series, maps = _scheduled_maps(factor)
+    covering = np.diag(np.array(series.coeffs, dtype=object))  # r(i, j - i) at [i, j]
+    covering[[rec.i for rec in maps], [rec.i + rec.t for rec in maps]] = [rec.rank for rec in maps]
+    count = np.triu(-np.diff(np.diff(covering, axis=0, prepend=0), axis=1, append=0))
+    if (count < 0).any():
+        raise HypothesisViolation(f"the ranks of {factor} give a negative count of strings")
+    strings = tuple(((int(s), int(e)), count[s, e]) for s, e in zip(*np.nonzero(count)))
+    records = tuple(tuple(getattr(rec, f.name) for f in fields(rec) if f.init) for rec in maps)
+    return series, strings, records
+
+
+def lefschetz_report(ideal) -> LefschetzReport:
+    """Exact rank record of every map l^t : A_i -> A_{i+t}, i + t <= socle.
+
+    With several factors, each linked group is ranked once per process, a
+    free x_j is the string [0, a_j - 1], strings combine by the Clebsch-Gordan
+    rule, and the rank of l^t on A_i counts the strings with s <= i and
+    e >= i + t.  The budget counts each group's power table and the ranks.
+    """
+    parts = _components(ideal)
+    if len(parts) < 2:
+        return LefschetzReport(ideal, *_scheduled_maps(_restrict(ideal, parts[0])))
+    components = [(p, ideal.bounds[p[0]] if len(p) == 1 else _restrict(ideal, p)) for p in parts]
+    factors = [_component(f)[:2] for _, f in components]
+    socle = sum(factor_series.socle_degree for factor_series, _ in factors)
+    check_table_size((socle + 1, socle + 1))
+    series, strings = HilbertSeries([1]), {(0, 0): 1}
+    for factor_series, factor_strings in factors:
+        series, product = series * factor_series, Counter()
+        for (s, e), c in strings.items():
+            for (s2, e2), c2 in factor_strings:
+                for k in range(min(e - s, e2 - s2) + 1):
+                    product[s + s2 + k, e + e2 - k] += c * c2
+        strings = product
+    count = np.zeros((socle + 1, socle + 1), dtype=object)
+    count[tuple(np.array(list(strings)).T)] = list(strings.values())
+    covering = count[:, ::-1].cumsum(axis=1)[:, ::-1].cumsum(axis=0)  # strings over [i, j]
+    maps = [
+        MapRecord(i, t, series[i], series[i + t], covering[i, i + t], CERT_TENSOR)
+        for t in range(1, socle + 1)
+        for i in range(socle - t + 1)
+    ]
+    return LefschetzReport(ideal, series, maps, tuple(components))

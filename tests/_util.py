@@ -322,6 +322,55 @@ def lefschetz_report_all_cells(ideal):
     return LefschetzReport(ideal, series, maps)
 
 
+def ranks_from_components(payload):
+    """{(i, t): rank} of a report's JSON, recombined from its "components" alone.
+
+    Each factor's l is rebuilt as an explicit graded nilpotent matrix: a
+    free variable with exponent a is one string of length a, and a linked
+    group has count(s, e) = r(s, e-s) - r(s-1, e-s+1) - r(s, e-s+1) +
+    r(s-1, e-s+2) strings from degree s to e, read off its records.  The
+    factors are combined as l = l1 (x) 1 + 1 (x) l2 by Kronecker products,
+    and each cell of l^t is ranked by Bareiss elimination: a route that
+    shares nothing with the oracle's Clebsch-Gordan rule.
+    """
+    degrees, op = np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=object)
+    for component in payload["components"]:
+        if "exponent" in component:
+            strings = [(0, component["exponent"] - 1)]
+        else:
+            report = component["report"]
+            coeffs = report["hilbert_series"]["coeffs"]
+            rank = {(r["i"], r["t"]): r["rank"] for r in report["maps"]}
+            rank.update(((i, 0), c) for i, c in enumerate(coeffs))
+            r = lambda i, t: rank.get((i, t), 0)  # noqa: E731
+            top = len(coeffs) - 1
+            strings = [
+                (s, e)
+                for s in range(top + 1)
+                for e in range(s, top + 1)
+                for _ in range(r(s, e - s) - r(s - 1, e - s + 1) - r(s, e - s + 1) + r(s - 1, e - s + 2))
+            ]
+        factor_degrees = np.array([d for s, e in strings for d in range(s, e + 1)], dtype=np.int64)
+        shift = np.zeros((len(factor_degrees),) * 2, dtype=object)
+        start = 0
+        for s, e in strings:
+            for k in range(e - s):
+                shift[start + k + 1, start + k] = 1
+            start += e - s + 1
+        op = np.kron(op, np.eye(len(shift), dtype=object)) + np.kron(
+            np.eye(len(op), dtype=object), shift
+        )
+        degrees = np.add.outer(degrees, factor_degrees).ravel()
+    top = int(degrees.max())
+    ranks, power = {}, np.eye(len(op), dtype=object)
+    for t in range(1, top + 1):
+        power = op.dot(power)
+        for i in range(top - t + 1):
+            cell = power[np.ix_(degrees == i + t, degrees == i)]
+            ranks[i, t] = matrix_rank(cell.tolist())
+    return ranks
+
+
 def tensor_map_full_rank(base_series, d, i, t) -> bool:
     """Full rank of l^t : A_i -> A_{i+t} on A = B (x) k[z]/(z^d), from B's
     Hilbert function alone.

@@ -413,6 +413,20 @@ def test_each_symmetry_obligation_raises_when_broken(monkeypatch, obligation, me
         slp_symmetric(spec)
 
 
+def test_palindrome_obligation_names_one_mismatch_not_every_coefficient(monkeypatch):
+    import lefschetz.classify as classify_mod
+
+    spec = MaciSpec((2, 3, 4) + (2,) * 200, (1, 1, 1) + (0,) * 200)
+    monkeypatch.setattr(classify_mod, "is_symmetric", lambda series: False)
+    with pytest.raises(HypothesisViolation, match="socle degree 205 is not a palindrome") as err:
+        slp_symmetric(spec)
+    assert len(str(err.value)) < 300
+    monkeypatch.undo()
+    with pytest.raises(HypothesisViolation) as err:
+        classify_mod._check_symmetric_decomposition(spec, HilbertSeries([1, 3, 4, 2, 1]))
+    assert "socle degree 4 is not a palindrome, h_1 = 3 but h_3 = 2 for MaciSpec(" in str(err.value)
+
+
 def test_slp_symmetric_computes_each_piece_series_once(monkeypatch):
     # every series on the path is a closed form: the spec's own
     # MaciSpec.series, then one MaciSpec.series or ci_series per piece,

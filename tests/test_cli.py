@@ -279,8 +279,9 @@ def test_survey_of_seventy_variables_writes_its_row(tmp_path, capsys):
 
 
 def test_check_refuses_a_power_table_over_the_budget_before_the_basis(capsys):
-    # 2^19 standard monomials fit the budget, the 3^19-entry power table does not
-    text = ", ".join(f"x{j}^2" for j in range(1, 20))
+    # 2^19 - 1 standard monomials fit the budget, the 3^19-entry power table
+    # does not; x1*x2*...*x19 links every variable into one factor
+    text = ", ".join(f"x{j}^2" for j in range(1, 20)) + ", " + "*".join(f"x{j}" for j in range(1, 20))
     start = time.perf_counter()
     code, out, err = run(capsys, "check", text)
     assert time.perf_counter() - start < 1
@@ -752,4 +753,4 @@ def test_csm_output_is_unchanged(capsys, argv, text, payload):
     assert out == text
     code, out, _ = run(capsys, "--json", "csm", *argv)
     assert code == 0
-    assert out == json.dumps(payload, indent=1) + "\n"
+    assert out == json.dumps(payload) + "\n"

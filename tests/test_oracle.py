@@ -1,5 +1,7 @@
 """Multiplication matrices, exact ranks and Lefschetz reports."""
 
+import json
+import time
 from math import isqrt
 
 import numpy as np
@@ -19,12 +21,15 @@ from lefschetz import (
     parse_ideal,
     pure_power,
     standard_monomial_table,
+    support_two_grid,
 )
+from lefschetz.classify import all_maci_grid
 from lefschetz.oracle import (
     _PRIME,
     _PRIMES,
     _REDUCE_EVERY,
     _certified_rank,
+    _components,
     _echelon_mod_prime,
     _power_table,
 )
@@ -36,6 +41,7 @@ from _util import (
     multiplication_matrix_by_entries,
     rand_artinian_ideal,
     rand_maci,
+    ranks_from_components,
     seeded,
     standard_monomials,
     tensor_map_full_rank,
@@ -176,7 +182,7 @@ def test_report_cells_never_touch_the_zero_space():
     for ideal in ideals:
         for rec in lefschetz_report(ideal).maps:
             assert rec.dim_src >= 1 and rec.dim_tgt >= 1, (ideal, rec)
-            assert rec.certificate in ("mod_p", "kernel", "exact", "implied"), (ideal, rec)
+            assert rec.certificate in ("mod_p", "kernel", "exact", "implied", "tensor"), (ideal, rec)
 
 
 def test_report_reason_bookkeeping():
@@ -263,9 +269,19 @@ def test_report_deficient_cells_are_exact_never_implied():
         for rec in report.maps:
             if not rec.full_rank:
                 seen += 1
-                assert (rec.certificate, rec.implied_by) == ("kernel", None)
+                # a spec with a free variable combines its factors' ranks
+                assert rec.certificate in ("kernel", "tensor") and rec.implied_by is None
             elif rec.certificate == "implied":
                 assert map_at(report, *rec.implied_by).full_rank
+
+
+@pytest.fixture
+def fresh_components():
+    """An empty component cache before and after a test that patches the
+    elimination, so neither reads nor leaves ranks from the other setting."""
+    lefschetz.oracle._component.cache_clear()
+    yield
+    lefschetz.oracle._component.cache_clear()
 
 
 def _unlucky_first_prime(monkeypatch, p):
@@ -275,7 +291,7 @@ def _unlucky_first_prime(monkeypatch, p):
     monkeypatch.setattr(lefschetz.oracle, "_PRIMES", (p,) + _PRIMES[1:])
 
 
-def test_report_raises_when_exact_rank_undershoots(monkeypatch):
+def test_report_raises_when_exact_rank_undershoots(monkeypatch, fresh_components):
     # the exact rank can never fall below the rank mod p; if it does, the
     # report must refuse even when assertions are compiled out.  An unlucky
     # first prime is what sends a cell to the Bareiss fallback.
@@ -298,7 +314,7 @@ def _count_bareiss(monkeypatch):
     return calls
 
 
-def test_report_certifies_deficient_cells_by_kernel_vectors(monkeypatch):
+def test_report_certifies_deficient_cells_by_kernel_vectors(monkeypatch, fresh_components):
     ideal = MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal()
     want = lefschetz_report_all_cells(ideal)
     calls = _count_bareiss(monkeypatch)
@@ -312,7 +328,7 @@ def test_report_certifies_deficient_cells_by_kernel_vectors(monkeypatch):
 
 
 @pytest.mark.parametrize("prime", [2, 3])
-def test_report_falls_back_to_bareiss_after_an_unlucky_prime(monkeypatch, prime):
+def test_report_falls_back_to_bareiss_after_an_unlucky_prime(monkeypatch, fresh_components, prime):
     # cells of full rank over Q lose rank mod a tiny first prime; their
     # kernel vectors cannot verify, the next prime moves their pivots, and
     # Bareiss ranks them.  The reference keeps the real first prime.
@@ -334,7 +350,7 @@ def test_report_falls_back_to_bareiss_after_an_unlucky_prime(monkeypatch, prime)
     ],
 )
 def test_report_eliminates_each_ranked_cell_once_mod_the_first_prime(
-    monkeypatch, ideal, prime, path
+    monkeypatch, fresh_components, ideal, prime, path
 ):
     # the kernel certificate starts from the rank step's echelon form, and
     # only its later primes eliminate again; prime None keeps the real one
@@ -449,8 +465,10 @@ def test_echelon_mod_prime_equals_the_stepwise_reference(monkeypatch, reduce_eve
 
 
 def test_power_table_over_the_work_budget_is_refused():
-    # 2^13 standard monomials, but a power table of 3^13 entries
-    ideal = MonomialIdeal(13, [pure_power(13, j, 2) for j in range(13)])
+    # 2^13 - 1 standard monomials, but a power table of 3^13 entries; the
+    # cross generator x1 x2 ... x13 links every variable into one factor
+    gens = [pure_power(13, j, 2) for j in range(13)] + [(1,) * 13]
+    ideal = MonomialIdeal(13, gens)
     assert len(standard_monomials(ideal, 6)) == 1716
     with pytest.raises(ValueError, match="budget"):
         lefschetz_report(ideal)
@@ -467,6 +485,89 @@ def test_report_works_on_the_variables_that_survive_in_the_quotient():
     assert got.series == want.series
     assert [rec.as_dict() for rec in got.maps] == [rec.as_dict() for rec in want.maps]
     assert multiplication_matrix(ideal, 3, 2) == multiplication_matrix(want.ideal, 3, 2)
+
+
+def _separate_components(rng):
+    """An ideal whose cross generators link two disjoint groups of variables,
+    x1..x5 shuffled, the variables outside both groups left free."""
+    n = rng.randint(4, 5)
+    bounds = [rng.randint(2, 3) for _ in range(n)]
+    gens = [pure_power(n, j, a) for j, a in enumerate(bounds)]
+    order = rng.sample(range(n), n)
+    for group in (order[:2], order[2 : rng.randint(4, n)]):
+        for _ in range(rng.randint(1, 2)):
+            gens.append([rng.randint(1, a - 1) if j in group else 0 for j, a in enumerate(bounds)])
+    return MonomialIdeal(n, gens)
+
+
+def _tensor_cases():
+    """Every spec with several factors in two full grids, ideals with two
+    linked groups, Togliatti's ideal times a free variable and a complete
+    intersection."""
+    rng = seeded(167)
+    ideals = [spec.ideal() for spec in all_maci_grid([3], 4)]
+    ideals += [spec.ideal() for spec in support_two_grid([3, 4], 4)]
+    ideals += [_separate_components(rng) for _ in range(30)]
+    ideals += [parse_ideal("x1^3, x2^3, x3^3, x1*x2*x3, x4^2"), parse_ideal("x1^2, x2^3, x3^4, x4^5")]
+    return [ideal for ideal in ideals if len(_components(ideal)) > 1]
+
+
+def test_tensor_records_match_all_cells_reference():
+    cases = _tensor_cases()
+    assert len(cases) > 1_000
+    assert sum(1 for ideal in cases if sum(len(part) > 1 for part in _components(ideal)) > 1) >= 20
+    failing = 0
+    for ideal in cases:
+        got = lefschetz_report(ideal)
+        want = lefschetz_report_all_cells(ideal)
+        assert _record_keys(got) == _record_keys(want), ideal
+        assert (got.witnesses, got.wlp, got.slp) == (want.witnesses, want.wlp, want.slp)
+        assert got.series == want.series, ideal
+        assert {(rec.certificate, rec.implied_by) for rec in got.maps} == {("tensor", None)}
+        failing += not got.slp
+    assert failing >= 20
+
+
+def test_tensor_report_recombines_from_its_components_alone():
+    rng = seeded(173)
+    ideals = [parse_ideal("x1^3, x2^3, x3^3, x1*x2*x3, x4^2")] + [_separate_components(rng) for _ in range(6)]
+    for ideal in ideals:
+        report = lefschetz_report(ideal)
+        payload = json.loads(json.dumps(report.as_dict()))
+        assert ranks_from_components(payload) == {(rec.i, rec.t): rec.rank for rec in report.maps}
+        for component in payload["components"]:
+            if "report" in component:
+                factor = MonomialIdeal(len(component["variables"]), component["report"]["generators"])
+                assert component["report"] == lefschetz_report(factor).as_dict()
+            else:
+                assert component["exponent"] == ideal.bounds[component["variables"][0] - 1]
+    assert "components" not in lefschetz_report(TOGLIATTI).as_dict()
+
+
+def test_cached_components_cannot_be_changed_through_a_report():
+    ideal = parse_ideal("x1^3, x2^3, x3^3, x1*x2*x3, x4^2")
+    want = lefschetz_report(ideal).as_dict()
+    got = lefschetz_report(ideal)
+    for rec in got.maps:
+        rec.rank = 0
+    got.as_dict()["components"][0]["report"]["maps"].clear()
+    assert lefschetz_report(ideal).as_dict() == want
+
+
+def test_wide_tensor_spec_is_answered():
+    # the power table of all 33 variables would hold 3 * 5 * 7 * 3^30, about
+    # 2.2e16 entries; the linked group x1, x2, x3 has one of 105
+    lefschetz.oracle._component.cache_clear()
+    spec = MaciSpec((2, 3, 4) + (2,) * 30, (1, 1, 1) + (0,) * 30)
+    start = time.perf_counter()
+    report = lefschetz_report(spec.ideal())
+    assert time.perf_counter() - start < 1
+    assert report.slp and len(report.maps) == 630
+    assert sum(report.series.coeffs) == 19_327_352_832
+    assert {rec.certificate for rec in report.maps} == {"tensor"}
+    components = report.as_dict()["components"]
+    assert [c["variables"] for c in components] == [[1, 2, 3]] + [[j] for j in range(4, 34)]
+    assert [c["exponent"] for c in components[1:]] == [2] * 30
 
 
 def test_report_socle_21_symmetric_spec_has_slp():
