@@ -44,13 +44,9 @@ def is_almost_centered(hs) -> bool:
     if hs.offset != 0:
         raise ValueError("almost-centeredness requires a series starting in degree 0")
     top = hs.socle_degree
-    first = all(
-        hs[i - 1] <= hs[top - i] <= hs[i] for i in range(top // 2 + 1)
-    )
-    if first:
-        return True
-    return all(
-        hs[top - i + 1] <= hs[i] <= hs[top - i] for i in range(top // 2 + 1)
+    half = range(top // 2 + 1)
+    return all(hs[i - 1] <= hs[top - i] <= hs[i] for i in half) or all(
+        hs[top - i + 1] <= hs[i] <= hs[top - i] for i in half
     )
 
 
@@ -87,11 +83,4 @@ def two_var_profile(a, b, alpha, beta) -> TwoVarProfile:
     not_centered = (b >= a + beta + 2) or (
         a - alpha >= 2 and beta >= 2 and b <= a + beta - 2
     )
-    return TwoVarProfile(
-        a=a,
-        b=b,
-        alpha=alpha,
-        beta=beta,
-        swapped=swapped,
-        almost_centered=not not_centered,
-    )
+    return TwoVarProfile(a, b, alpha, beta, swapped, almost_centered=not not_centered)

@@ -23,7 +23,7 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from .analysis import coincides, is_symmetric, reflecting_degree, two_var_profile
-from .core import MAX_TABLE_ENTRIES, MAX_VAR_INDEX, check_table_size
+from .core import MAX_TABLE_ENTRIES, MAX_VAR_INDEX, check_table_size, pure_power
 from .oracle import HypothesisViolation
 from .series import HilbertSeries, MaciSpec, ci_series, compact_repr
 
@@ -148,12 +148,8 @@ class CsmPiece:
             return self.quotient.ideal().sorted_generators()
         n = len(self.quotient)
         check_table_size((n, n))  # dense exponents of n pure powers
-        gens = []
-        for i in sorted(range(n), key=lambda k: (self.quotient[k], k)):
-            g = [0] * n
-            g[i] = self.quotient[i]
-            gens.append(tuple(g))
-        return tuple(gens)
+        order = sorted(range(n), key=lambda k: (self.quotient[k], k))
+        return tuple(pure_power(n, i, self.quotient[i]) for i in order)
 
     def widened_series(self) -> HilbertSeries:
         """Series of the piece tensored with k[t]/(t^multiplier), shifted."""
@@ -179,10 +175,7 @@ class CsmDecomposition:
         return sum((piece.widened_series() for piece in self.pieces), HilbertSeries(()))
 
     def as_dict(self):
-        return {
-            "variable": self.variable + 1,
-            "pieces": [p.as_dict() for p in self.pieces],
-        }
+        return {"variable": self.variable + 1, "pieces": [p.as_dict() for p in self.pieces]}
 
 
 def csm_decomposition(spec, var=None) -> CsmDecomposition:

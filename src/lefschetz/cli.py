@@ -220,10 +220,7 @@ def cmd_classify(args):
     if verdict is None:
         # no closed-form rule covers this spec; fall back to the oracle
         report = lefschetz_report(spec.ideal())
-        payload = {
-            "classified": False,
-            "oracle": {"wlp": report.wlp, "slp": report.slp},
-        }
+        payload = {"classified": False, "oracle": {"wlp": report.wlp, "slp": report.slp}}
         human = (
             "no classification rule applies; oracle verdict: "
             f"wlp {str(report.wlp).lower()}, slp {str(report.slp).lower()}"

@@ -11,6 +11,10 @@ once, as ``bounds`` and ``cross``.  The split also makes minimalize one
 pass: the least pure power per variable is kept without a pairwise test, a
 cross generator is dropped when one comparison g_j >= a_j finds a kept
 bound dividing it, and only cross generators are compared pairwise.
+
+It also splits R/I into tensor factors (``tensor_factors``), the groups of
+variables that cross generators link, so that the Hilbert series and the
+Lefschetz report both work factor by factor from one split.
 """
 
 from __future__ import annotations
@@ -266,32 +270,57 @@ def check_table_size(sizes):
         raise ValueError(f"a table of {shown} entries exceeds the budget of {MAX_TABLE_ENTRIES}")
 
 
+def check_artinian(ideal):
+    """Raise the one refusal of a non-Artinian ideal, naming a variable with no pure power."""
+    if not ideal.is_artinian():
+        raise ValueError(f"non-Artinian ideal: x{ideal.bounds.index(None) + 1} has no pure power")
+
+
+def restrict(ideal, variables):
+    """The generators that use no variable outside ``variables``, in those alone."""
+    keep = set(variables)
+    gens = [[g[j] for j in variables] for g in ideal.generators if keep.issuperset(g.support)]
+    return MonomialIdeal(len(variables), gens)
+
+
+def tensor_factors(ideal):
+    """Groups of the variables with a_j >= 2 that cross generators link, by
+    least variable, or x1 alone for the field or the unit ideal (no bounds).
+
+    R/I is the tensor product of R/``restrict``(I, group) over the groups,
+    since no cross generator uses an x_j with a_j = 1; a group of one
+    variable is free, k[x_j]/(x_j^(a_j)).
+    """
+    check_artinian(ideal)
+    group = {j: (j,) for j, a in enumerate(ideal.bounds) if (a or 0) > 1}
+    for g in ideal.cross:
+        merged = tuple(sorted({k for j in g.support for k in group[j]}))
+        group.update((k, merged) for k in merged)
+    return sorted(set(group.values())) or [(0,)]
+
+
 def standard_monomial_table(ideal):
     """Standard monomials of R/I by degree, one (dim A_i, n) int64 array each.
 
     Rows are ordered graded-lexicographically with x1 largest, so bases (and
     hence matrices) are deterministic.  Only Artinian ideals are accepted;
-    anything else would enumerate forever.  Only the variables with a_j >= 2
-    are enumerated: x_j with a_j = 1 is zero in the quotient and divides no
-    other minimal generator, so its column is 0.  A basis of more than
-    MAX_TABLE_ENTRIES exponents (n prod a_j) is refused before enumeration.
+    anything else would enumerate forever.  Every variable gets an axis, so
+    callers hand it a tensor factor; an x_j with a_j = 1 only enumerates
+    the digit 0.  A basis of more than MAX_TABLE_ENTRIES exponents
+    (n prod a_j) is refused before enumeration.
     """
-    if not ideal.is_artinian():
-        raise ValueError("standard monomials form an infinite set for a non-Artinian ideal")
+    check_artinian(ideal)
     if ideal.is_unit():
         return ()
     bounds = ideal.bounds
     check_table_size(bounds + (ideal.n,))
-    active = [j for j, a in enumerate(bounds) if a > 1]
-    radix = [bounds[j] for j in active]
     # box rows in descending lex order: mixed-radix digits of a falling count
-    code = np.arange(prod(radix) - 1, -1, -1, dtype=np.int64)
-    box = np.empty((code.size, len(active)), dtype=np.int64)
-    for col in range(len(active) - 1, -1, -1):
-        code, box[:, col] = np.divmod(code, radix[col])
+    code = np.arange(prod(bounds) - 1, -1, -1, dtype=np.int64)
+    box = np.empty((code.size, ideal.n), dtype=np.int64)
+    for col in range(ideal.n - 1, -1, -1):
+        code, box[:, col] = np.divmod(code, bounds[col])
     for g in ideal.cross:
-        box = box[(box < [g[j] for j in active]).any(axis=1)]
+        box = box[(box < g).any(axis=1)]
     degree = box.sum(axis=1)
-    basis = np.zeros((len(box), ideal.n), dtype=np.int64)
-    basis[:, active] = box[np.argsort(degree, kind="stable")]
-    return tuple(np.split(basis, np.cumsum(np.bincount(degree))[:-1]))
+    box = box[np.argsort(degree, kind="stable")]
+    return tuple(np.split(box, np.cumsum(np.bincount(degree))[:-1]))

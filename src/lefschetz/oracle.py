@@ -57,7 +57,7 @@ its ``certificate``:
 * "kernel": rank mod p, matched by verified integer kernel vectors;
 * "exact": rank from the Bareiss fallback;
 * "implied": full rank implied by the proven cell in ``implied_by``;
-* "tensor": rank on several factors (``_components``), from their Jordan
+* "tensor": rank on several factors (``core.tensor_factors``), from their Jordan
   strings: [s, e] times [s', e'], of lengths L and M, is k[u, v]/(u^L, v^M)
   with l = u + v, strong Lefschetz in characteristic zero (Stanley 1980;
   Watanabe 1987), so it splits into [s + s' + k, e + e' - k], k < min(L, M):
@@ -73,23 +73,15 @@ from math import factorial, isqrt, lcm
 
 import numpy as np
 
-from .core import MonomialIdeal, check_table_size, standard_monomial_table
+from .core import MonomialIdeal, check_table_size, restrict, standard_monomial_table, tensor_factors
 from .series import HilbertSeries, ci_series
 
 _PRIME = 67_108_859  # the largest prime below 2^26; see _REDUCE_EVERY
 # the largest primes below 2^26, for Chinese remaindering of kernel vectors;
 # their product (about 2^260) bounds the fractions rational reconstruction finds
 _PRIMES = (
-    _PRIME,
-    67_108_837,
-    67_108_819,
-    67_108_777,
-    67_108_763,
-    67_108_757,
-    67_108_753,
-    67_108_747,
-    67_108_739,
-    67_108_729,
+    _PRIME, 67_108_837, 67_108_819, 67_108_777, 67_108_763,
+    67_108_757, 67_108_753, 67_108_747, 67_108_739, 67_108_729,
 )
 # pivots between reductions of an elimination's trailing block (about 2^11):
 # each subtracts at most (p - 1)^2 < 2^52 from an entry in [0, p), and the
@@ -116,25 +108,6 @@ class HypothesisViolation(RuntimeError):
     """
 
 
-def _restrict(ideal, variables):
-    """The generators that use no variable outside ``variables``, in those alone."""
-    gens = [[g[j] for j in variables] for g in ideal.generators if set(g.support) <= set(variables)]
-    return MonomialIdeal(len(variables), gens)
-
-
-def _components(ideal):
-    """The variables with a_j >= 2 in groups linked by cross generators (one
-    alone is free), by least variable, or x1 alone for the field or the unit
-    ideal (no bounds): the quotient is the tensor product of ``_restrict`` on each."""
-    if not ideal.is_artinian():
-        raise ValueError("standard monomials form an infinite set for a non-Artinian ideal")
-    group = {j: (j,) for j, a in enumerate(ideal.bounds) if (a or 0) > 1}
-    for g in ideal.cross:
-        merged = tuple(sorted({k for j in g.support for k in group[j]}))
-        group.update((k, merged) for k in merged)
-    return sorted(set(group.values())) or [(0,)]
-
-
 def _power_table(ideal):
     """Keys of the standard monomials and the table of coefficients of powers of l.
 
@@ -146,7 +119,7 @@ def _power_table(ideal):
     elsewhere.  Each degree-i standard monomial u gets the mixed-radix key
     sum(u_j * w_j) with the strides w_j of the box, so the entry for (u, v)
     sits at ``center + key(u) - key(v)``.  Every variable of the Artinian
-    ideal gets an axis, so the oracle passes it ``_restrict``-ed.
+    ideal gets an axis, so the oracle passes it a tensor factor.
 
     Returns (keys by degree as int64 arrays, flat object table, center).
     A box of more than MAX_TABLE_ENTRIES entries is a ValueError.
@@ -185,7 +158,7 @@ def multiplication_matrix(ideal, i, t):
         raise ValueError("the power t must be >= 1")
     if i < 0:
         raise ValueError("the source degree must be >= 0")
-    keys, table, center = _power_table(_restrict(ideal, sorted(sum(_components(ideal), ()))))
+    keys, table, center = _power_table(restrict(ideal, sorted(sum(tensor_factors(ideal), ()))))
     empty = np.zeros(0, dtype=np.int64)
     src = keys[i] if i < len(keys) else empty
     tgt = keys[i + t] if i + t < len(keys) else empty
@@ -513,10 +486,10 @@ def lefschetz_report(ideal) -> LefschetzReport:
     rule, and the rank of l^t on A_i counts the strings with s <= i and
     e >= i + t.  The budget counts each group's power table and the ranks.
     """
-    parts = _components(ideal)
+    parts = tensor_factors(ideal)
     if len(parts) < 2:
-        return LefschetzReport(ideal, *_scheduled_maps(_restrict(ideal, parts[0])))
-    components = [(p, ideal.bounds[p[0]] if len(p) == 1 else _restrict(ideal, p)) for p in parts]
+        return LefschetzReport(ideal, *_scheduled_maps(restrict(ideal, parts[0])))
+    components = [(p, ideal.bounds[p[0]] if len(p) == 1 else restrict(ideal, p)) for p in parts]
     factors = [_component(f)[:2] for _, f in components]
     socle = sum(factor_series.socle_degree for factor_series, _ in factors)
     check_table_size((socle + 1, socle + 1))

@@ -5,6 +5,7 @@ a degree offset; the offset stays 0 for honest quotient algebras and records
 the grading shift of submodule slices.  There are two routes to a series:
 closed forms, the product form of a complete intersection and MaciSpec.series
 for one extra generator, and otherwise a count of the standard-monomial basis.
+``hilbert_series`` takes one route per tensor factor and multiplies.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from itertools import groupby
 from .core import (
     Monomial,
     MonomialIdeal,
+    check_artinian,
     check_table_size,
     pure_power,
+    restrict,
     standard_monomial_table,
+    tensor_factors,
 )
 
 
@@ -168,20 +172,30 @@ def _ci_series(exponents) -> HilbertSeries:
 def hilbert_series(ideal) -> HilbertSeries:
     """Exact Hilbert series of R/I for an Artinian monomial ideal I.
 
-    With no cross generator I is a complete intersection and with one it is
+    R/I is the tensor product of its factors (``core.tensor_factors``), so
+    its series is the product of theirs.  The free variables form one
+    complete intersection, and a linked group with one cross generator is
     an almost complete intersection; both have closed forms.  Any other
-    ideal is answered by counting its standard monomials per degree, so a
-    basis of more than MAX_TABLE_ENTRIES exponents (n prod a_j) is refused.
+    group is answered by counting its standard monomials per degree, so a
+    group basis of more than MAX_TABLE_ENTRIES exponents (n prod a_j) is
+    refused, and so is a product of more multiply-adds than that.
     """
-    if not ideal.is_artinian():
-        raise ValueError("Hilbert series requires an Artinian ideal")
     if ideal.is_unit():
         return HilbertSeries(())
-    if not ideal.cross:
-        return ci_series(ideal.bounds)
-    if len(ideal.cross) == 1:
-        return maci_from_ideal(ideal).series()
-    return HilbertSeries([len(bucket) for bucket in standard_monomial_table(ideal)])
+    parts = tensor_factors(ideal)
+    series = ci_series([ideal.bounds[p[0]] for p in parts if len(p) == 1])
+    factors = [
+        maci_from_ideal(group).series() if len(group.cross) == 1
+        else HilbertSeries([len(bucket) for bucket in standard_monomial_table(group)])
+        for group in (restrict(ideal, p) for p in parts if len(p) > 1)
+    ]
+    cost, length = 0, len(series.coeffs)
+    for f in factors:  # series * f takes len(series) * len(f) multiply-adds
+        cost, length = cost + length * len(f.coeffs), length + len(f.coeffs) - 1
+    check_table_size((cost,))
+    for f in factors:
+        series = series * f
+    return series
 
 
 def compact_repr(value) -> str:
@@ -293,8 +307,7 @@ class MaciSpec:
 
 def maci_from_ideal(ideal) -> MaciSpec:
     """Recover the (pure powers, extra generator) presentation, or raise."""
-    if None in ideal.bounds:
-        raise ValueError("not Artinian: missing a pure power")
+    check_artinian(ideal)
     if len(ideal.cross) != 1:
         raise ValueError(
             f"expected exactly one non-pure-power generator, found {len(ideal.cross)}"

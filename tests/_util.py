@@ -200,6 +200,19 @@ def rand_artinian_ideal(rng, n, max_bound=5, extra=2):
     return MonomialIdeal(n, gens)
 
 
+def separate_components(rng):
+    """An ideal whose cross generators link two disjoint groups of variables,
+    x1..x5 shuffled, the variables outside both groups left free."""
+    n = rng.randint(4, 5)
+    bounds = [rng.randint(2, 3) for _ in range(n)]
+    gens = [pure_power(n, j, a) for j, a in enumerate(bounds)]
+    order = rng.sample(range(n), n)
+    for group in (order[:2], order[2 : rng.randint(4, n)]):
+        for _ in range(rng.randint(1, 2)):
+            gens.append([rng.randint(1, a - 1) if j in group else 0 for j, a in enumerate(bounds)])
+    return MonomialIdeal(n, gens)
+
+
 def rand_maci(rng, n, max_exp=6):
     """A uniform-ish random spec; retries until the support is large enough."""
     while True:

@@ -70,6 +70,25 @@ def test_hilbert_rejects_non_artinian(capsys):
     assert "Artinian" in err
 
 
+@pytest.mark.parametrize("command", ["hilbert", "check", "classify"])
+def test_non_artinian_ideal_is_refused_with_one_message(capsys, command):
+    code, out, err = run(capsys, "--nvars", "3", command, "x1^2, x2^2, x1*x2")
+    assert (code, out) == (1, "")
+    assert err == "error: non-Artinian ideal: x3 has no pure power\n"
+
+
+def test_hilbert_of_many_free_variables_restricts_only_the_linked_group(capsys):
+    # 997 free squares and one linked pair: restricting every free variable
+    # would scan the 1,000 generators once per variable
+    text = ", ".join(f"x{j}^2" for j in range(1, 1000)) + ", x1*x2"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--json", "hilbert", text)
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    coeffs = json.loads(out)["coeffs"]
+    assert len(coeffs) == 999 and sum(coeffs) == 3 * 2**997
+
+
 def test_declared_variable_count_is_capped_before_any_monomial(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "--nvars", "3000000", "hilbert", "x1^2")

@@ -17,9 +17,11 @@ from lefschetz import (
     minimalize,
     parse_ideal,
     pure_power,
+    lefschetz_report,
     render_monomial,
     standard_monomial_table,
 )
+from lefschetz.core import restrict, tensor_factors
 from _util import (
     colon_by_monomial,
     hilbert_series_by_colon,
@@ -32,6 +34,7 @@ from _util import (
     rand_monomial,
     render_ideal,
     seeded,
+    separate_components,
     series_total,
     standard_monomial_table_by_product,
     standard_monomials,
@@ -304,7 +307,8 @@ def test_hilbert_routes_agree():
 
 
 def test_hilbert_series_matches_both_reference_routes():
-    # closed forms for at most one cross generator, the basis count beyond
+    # a product over the tensor factors: closed forms for the free variables
+    # and for a group with one cross generator, the basis count beyond
     rng = seeded(29)
     ideals = [MonomialIdeal(3, [Monomial((0, 0, 0))])]
     for _ in range(400):
@@ -313,11 +317,37 @@ def test_hilbert_series_matches_both_reference_routes():
         gens = [pure_power(n, j, b) for j, b in enumerate(bounds)]
         gens += [Monomial(rng.randint(0, b - 1) for b in bounds) for _ in range(rng.randint(0, 8))]
         ideals.append(MonomialIdeal(n, gens))
+    ideals += [separate_components(rng) for _ in range(60)]
     crosses = {len(ideal.cross) for ideal in ideals if not ideal.is_unit()}
     assert crosses >= set(range(7)), crosses
+    linked = [sum(len(part) > 1 for part in tensor_factors(ideal)) for ideal in ideals if not ideal.is_unit()]
+    assert sum(count >= 2 for count in linked) >= 50
+    counted = [restrict(ideal, part) for ideal in ideals if not ideal.is_unit() for part in tensor_factors(ideal)]
+    assert sum(len(group.cross) >= 2 for group in counted) >= 50
     for ideal in ideals:
         got = hilbert_series(ideal)
         assert got == hilbert_series_by_colon(ideal) == hilbert_series_by_counting(ideal), ideal
+
+
+def test_hilbert_series_multiplies_factors_that_check_answers():
+    # two linked groups of 100^2 each: the whole basis, 4 * 100^4 exponents,
+    # is over the budget, while each factor has a closed form
+    ideal = parse_ideal("x1^100, x2^100, x1*x2^50, x3^100, x4^100, x3^50*x4")
+    got = hilbert_series(ideal)
+    assert got == lefschetz_report(ideal).series
+    assert sum(got.coeffs) == (100 * 100 - 99 * 50) ** 2
+
+
+def test_hilbert_series_refuses_a_product_over_the_work_budget():
+    # each group's closed form fits the budget; multiplying their two series
+    # of 1,398 coefficients takes 1398 + 1398^2 multiply-adds
+    text = "x1^700, x2^700, x1^699*x2^699, x3^700, x4^700, x3^699*x4^699"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^a table of 1955802 entries exceeds the budget"):
+        hilbert_series(parse_ideal(text))
+    assert time.perf_counter() - start < 5
+    half = hilbert_series(parse_ideal("x1^700, x2^700, x1^699*x2^699"))
+    assert len(half.coeffs) == 1398
 
 
 def test_quotient_additivity_small():
@@ -434,7 +464,7 @@ def test_maci_from_ideal():
         maci_from_ideal(parse_ideal("x1^2, x2^2"))
     with pytest.raises(ValueError):
         maci_from_ideal(parse_ideal("x1^4, x2^4, x1*x2^2, x1^2*x2"))
-    with pytest.raises(ValueError, match="not Artinian"):
+    with pytest.raises(ValueError, match="^non-Artinian ideal: x2 has no pure power$"):
         maci_from_ideal(parse_ideal("x1^2, x1*x2"))
 
 

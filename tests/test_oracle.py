@@ -24,12 +24,12 @@ from lefschetz import (
     support_two_grid,
 )
 from lefschetz.classify import all_maci_grid
+from lefschetz.core import tensor_factors
 from lefschetz.oracle import (
     _PRIME,
     _PRIMES,
     _REDUCE_EVERY,
     _certified_rank,
-    _components,
     _echelon_mod_prime,
     _power_table,
 )
@@ -43,6 +43,7 @@ from _util import (
     rand_maci,
     ranks_from_components,
     seeded,
+    separate_components,
     standard_monomials,
     tensor_map_full_rank,
     times,
@@ -487,19 +488,6 @@ def test_report_works_on_the_variables_that_survive_in_the_quotient():
     assert multiplication_matrix(ideal, 3, 2) == multiplication_matrix(want.ideal, 3, 2)
 
 
-def _separate_components(rng):
-    """An ideal whose cross generators link two disjoint groups of variables,
-    x1..x5 shuffled, the variables outside both groups left free."""
-    n = rng.randint(4, 5)
-    bounds = [rng.randint(2, 3) for _ in range(n)]
-    gens = [pure_power(n, j, a) for j, a in enumerate(bounds)]
-    order = rng.sample(range(n), n)
-    for group in (order[:2], order[2 : rng.randint(4, n)]):
-        for _ in range(rng.randint(1, 2)):
-            gens.append([rng.randint(1, a - 1) if j in group else 0 for j, a in enumerate(bounds)])
-    return MonomialIdeal(n, gens)
-
-
 def _tensor_cases():
     """Every spec with several factors in two full grids, ideals with two
     linked groups, Togliatti's ideal times a free variable and a complete
@@ -507,15 +495,15 @@ def _tensor_cases():
     rng = seeded(167)
     ideals = [spec.ideal() for spec in all_maci_grid([3], 4)]
     ideals += [spec.ideal() for spec in support_two_grid([3, 4], 4)]
-    ideals += [_separate_components(rng) for _ in range(30)]
+    ideals += [separate_components(rng) for _ in range(30)]
     ideals += [parse_ideal("x1^3, x2^3, x3^3, x1*x2*x3, x4^2"), parse_ideal("x1^2, x2^3, x3^4, x4^5")]
-    return [ideal for ideal in ideals if len(_components(ideal)) > 1]
+    return [ideal for ideal in ideals if len(tensor_factors(ideal)) > 1]
 
 
 def test_tensor_records_match_all_cells_reference():
     cases = _tensor_cases()
     assert len(cases) > 1_000
-    assert sum(1 for ideal in cases if sum(len(part) > 1 for part in _components(ideal)) > 1) >= 20
+    assert sum(1 for ideal in cases if sum(len(part) > 1 for part in tensor_factors(ideal)) > 1) >= 20
     failing = 0
     for ideal in cases:
         got = lefschetz_report(ideal)
@@ -530,7 +518,7 @@ def test_tensor_records_match_all_cells_reference():
 
 def test_tensor_report_recombines_from_its_components_alone():
     rng = seeded(173)
-    ideals = [parse_ideal("x1^3, x2^3, x3^3, x1*x2*x3, x4^2")] + [_separate_components(rng) for _ in range(6)]
+    ideals = [parse_ideal("x1^3, x2^3, x3^3, x1*x2*x3, x4^2")] + [separate_components(rng) for _ in range(6)]
     for ideal in ideals:
         report = lefschetz_report(ideal)
         payload = json.loads(json.dumps(report.as_dict()))
