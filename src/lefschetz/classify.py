@@ -219,7 +219,7 @@ def csm_decomposition(spec, var=None) -> CsmDecomposition:
     return CsmDecomposition(var, tuple(pieces))
 
 
-def _check_symmetric_decomposition(spec, series, var=None):
+def _check_symmetric_decomposition(spec, series):
     """Re-check the proof obligations of the decomposition of spec, whose
     Hilbert series is series, and recurse into the head piece."""
     if not is_symmetric(series):
@@ -228,7 +228,7 @@ def _check_symmetric_decomposition(spec, series, var=None):
         where = "" if first is None else f", h_{first} = {series[first]} but h_{top - first} = {series[top - first]}"
         raise HypothesisViolation(f"series of socle degree {top} is not a palindrome{where} for {spec}")
     ambient = reflecting_degree(series)
-    dec = csm_decomposition(spec, var)
+    dec = csm_decomposition(spec)
     widened = [piece.widened_series() for piece in dec.pieces]
     if sum(widened[1:], widened[0]) != series:
         raise HypothesisViolation(f"widened piece series do not sum to the quotient series for {spec}")
@@ -257,10 +257,9 @@ def slp_symmetric(spec) -> bool:
     failed check raises HypothesisViolation.  It is not cached: every call
     walks the decomposition of the spec it is given.
     """
-    witness = symmetric_witness(spec)
-    if witness is None:
+    if symmetric_witness(spec) is None:
         raise ValueError("the Hilbert series of this spec is not symmetric")
-    _check_symmetric_decomposition(spec, spec.series(), witness[-1])
+    _check_symmetric_decomposition(spec, spec.series())
     return True
 
 
@@ -350,7 +349,7 @@ def symmetric_grid(n_values, max_socle, max_exp=None):
     budget.  A spec's socle degree is climbs[0] + sum(values[1:]) - size +
     sum(e - 1) over its non-support exponents e, so none needs filtering.
     """
-    cap = max_exp if max_exp is not None else max_socle + 2
+    cap = max_socle + 2 if max_exp is None else min(max_exp, max_socle + 2)  # no exponent exceeds socle + 1
     specs = []
     for n in n_values:
         for size in range(2, n + 1):
@@ -459,7 +458,7 @@ def _grid_size_bound(family, ns, max_exp, max_socle, extra_exp):
             free = max_exp if extra_exp is None else 1
             specs = (max_exp * (max_exp - 1) // 2) ** 2 * free ** (n - 2)
         else:
-            cap = max_exp if max_exp is not None else max_socle + 2
+            cap = max_socle + 2 if max_exp is None else min(max_exp, max_socle + 2)
             choices = min(comb(max_socle - 1 + n, n + 1), cap * (cap - 1) // 2 * cap ** (n - 1))
             specs = n * (2 ** (n - 1) - 1) * choices
         size += n * specs

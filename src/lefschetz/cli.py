@@ -236,9 +236,9 @@ def cmd_classify(args):
 def cmd_csm(args):
     spec = _load_spec(args.ideal, args.nvars)
     var = None if args.var is None else args.var - 1
+    series = spec.series()  # within the budget, so the multipliers are bounded too
     dec = csm_decomposition(spec, var)
     total = dec.total_series()
-    series = spec.series()
     if total != series:
         raise HypothesisViolation(
             f"widened piece series sum to {total.as_dict()} but the quotient has {series.as_dict()}"

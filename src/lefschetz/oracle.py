@@ -61,7 +61,8 @@ its ``certificate``:
   strings: [s, e] times [s', e'], of lengths L and M, is k[u, v]/(u^L, v^M)
   with l = u + v, strong Lefschetz in characteristic zero (Stanley 1980;
   Watanabe 1987), so it splits into [s + s' + k, e + e' - k], k < min(L, M):
-  the Clebsch-Gordan rule (Iarrobino, Marques and McDaniel, J. Commut. Algebra 2022).
+  the Clebsch-Gordan rule (Iarrobino, Marques and McDaniel, J. Commut. Algebra
+  2022).  The series of several factors is read off the same strings, not multiplied.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from math import factorial, isqrt, lcm
 import numpy as np
 
 from .core import MonomialIdeal, check_table_size, restrict, standard_monomial_table, tensor_factors
-from .series import HilbertSeries, ci_series
+from .series import HilbertSeries
 
 _PRIME = 67_108_859  # the largest prime below 2^26; see _REDUCE_EVERY
 # the largest primes below 2^26, for Chinese remaindering of kernel vectors;
@@ -461,18 +462,16 @@ def _scheduled_maps(ideal):
 
 
 @lru_cache(maxsize=1024)
-def _component(factor):
-    """Series, strings ((s, e), count) and records (MapRecord init fields) of a free
-    exponent a, one string [0, a - 1], or of a linked group's ideal, whose strings [s, e]
-    number r(s, e-s) - r(s-1, e-s+1) - r(s, e-s+1) + r(s-1, e-s+2), r(i, t) = rank l^t|A_i."""
-    if isinstance(factor, int):  # nothing to rank
-        return ci_series((factor,)), (((0, factor - 1), 1),), ()
-    series, maps = _scheduled_maps(factor)
+def _component(group):
+    """Series, strings ((s, e), count) and records (MapRecord init fields) of a linked
+    group's ideal, whose strings [s, e] number
+    r(s, e-s) - r(s-1, e-s+1) - r(s, e-s+1) + r(s-1, e-s+2), r(i, t) = rank l^t|A_i."""
+    series, maps = _scheduled_maps(group)
     covering = np.diag(np.array(series.coeffs, dtype=object))  # r(i, j - i) at [i, j]
     covering[[rec.i for rec in maps], [rec.i + rec.t for rec in maps]] = [rec.rank for rec in maps]
     count = np.triu(-np.diff(np.diff(covering, axis=0, prepend=0), axis=1, append=0))
     if (count < 0).any():
-        raise HypothesisViolation(f"the ranks of {factor} give a negative count of strings")
+        raise HypothesisViolation(f"the ranks of {group} give a negative count of strings")
     strings = tuple(((int(s), int(e)), count[s, e]) for s, e in zip(*np.nonzero(count)))
     records = tuple(tuple(getattr(rec, f.name) for f in fields(rec) if f.init) for rec in maps)
     return series, strings, records
@@ -483,21 +482,21 @@ def lefschetz_report(ideal) -> LefschetzReport:
 
     With several factors, each linked group is ranked once per process, a
     free x_j is the string [0, a_j - 1], strings combine by the Clebsch-Gordan
-    rule, and the rank of l^t on A_i counts the strings with s <= i and
-    e >= i + t.  The budget counts each group's power table and the ranks.
+    rule, and the rank of l^t on A_i (h_i when t = 0) counts the strings with
+    s <= i and e >= i + t.  The budget counts each group's power table and the ranks.
     """
     parts = tensor_factors(ideal)
     if len(parts) < 2:
         return LefschetzReport(ideal, *_scheduled_maps(restrict(ideal, parts[0])))
     components = [(p, ideal.bounds[p[0]] if len(p) == 1 else restrict(ideal, p)) for p in parts]
-    factors = [_component(f)[:2] for _, f in components]
-    socle = sum(factor_series.socle_degree for factor_series, _ in factors)
+    factors = [(((0, f - 1), 1),) if isinstance(f, int) else _component(f)[1] for _, f in components]
+    socle = sum(max(e for (_, e), _ in factor) for factor in factors)
     check_table_size((socle + 1, socle + 1))
-    series, strings = HilbertSeries([1]), {(0, 0): 1}
-    for factor_series, factor_strings in factors:
-        series, product = series * factor_series, Counter()
+    strings = {(0, 0): 1}
+    for factor in factors:
+        product = Counter()
         for (s, e), c in strings.items():
-            for (s2, e2), c2 in factor_strings:
+            for (s2, e2), c2 in factor:
                 for k in range(min(e - s, e2 - s2) + 1):
                     product[s + s2 + k, e + e2 - k] += c * c2
         strings = product
@@ -505,8 +504,8 @@ def lefschetz_report(ideal) -> LefschetzReport:
     count[tuple(np.array(list(strings)).T)] = list(strings.values())
     covering = count[:, ::-1].cumsum(axis=1)[:, ::-1].cumsum(axis=0)  # strings over [i, j]
     maps = [
-        MapRecord(i, t, series[i], series[i + t], covering[i, i + t], CERT_TENSOR)
+        MapRecord(i, t, covering[i, i], covering[i + t, i + t], covering[i, i + t], CERT_TENSOR)
         for t in range(1, socle + 1)
         for i in range(socle - t + 1)
     ]
-    return LefschetzReport(ideal, series, maps, tuple(components))
+    return LefschetzReport(ideal, HilbertSeries(covering.diagonal()), maps, tuple(components))

@@ -5,13 +5,15 @@ a degree offset; the offset stays 0 for honest quotient algebras and records
 the grading shift of submodule slices.  There are two routes to a series:
 closed forms, the product form of a complete intersection and MaciSpec.series
 for one extra generator, and otherwise a count of the standard-monomial basis.
-``hilbert_series`` takes one route per tensor factor and multiplies.
+``hilbert_series`` takes one route per tensor factor and multiplies them in
+``_product``, which alone prices and multiplies chains of series.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby
+from operator import mul
 
 from .core import (
     Monomial,
@@ -146,56 +148,56 @@ class HilbertSeries:
         return f"HilbertSeries({list(self.coeffs)}, offset={self.offset})"
 
 
+def _product(factors) -> HilbertSeries:
+    """Product of a chain of nonzero series, an int a standing for 1 + t + ... + t^(a-1).
+
+    Multiplied left to right from the first factor, each step takes the running
+    length times the next factor's length in multiply-adds.  A chain of more than
+    MAX_TABLE_ENTRIES multiply-adds is refused before any int factor is built.
+    """
+    lengths = [f if isinstance(f, int) else len(f.coeffs) for f in factors]
+    cost, length = 0, lengths[0]
+    for k in lengths[1:]:
+        cost, length = cost + length * k, length + k - 1
+    check_table_size((cost,))
+    return reduce(mul, [HilbertSeries._trusted((1,) * f, 0) if isinstance(f, int) else f for f in factors])
+
+
 def ci_series(exponents) -> HilbertSeries:
     """Series of a monomial complete intersection: prod of (1 + t + ... + t^(a-1)).
 
     The product does not depend on the order of the exponents, so it is
-    computed once per sorted exponent tuple.  A product whose cost, its
-    coefficient count sum(a) - n + 1 times max(a), exceeds the work budget
-    is refused before the first multiplication.
+    computed once per sorted exponent tuple, by ``_product`` from the series
+    1 over the exponents a >= 2 (a box of exponent 1 is the series 1).
     """
     return _ci_series(tuple(sorted(exponents)))
 
 
 @lru_cache(maxsize=1024)
 def _ci_series(exponents) -> HilbertSeries:
-    if exponents:
-        if exponents[0] < 1:
-            raise ValueError("complete intersection exponents must be >= 1")
-        check_table_size((sum(exponents) - len(exponents) + 1, exponents[-1]))
-    series = HilbertSeries([1])
-    for a in exponents:
-        series = series * HilbertSeries([1] * a)
-    return series
+    if exponents and exponents[0] < 1:
+        raise ValueError("complete intersection exponents must be >= 1")
+    return _product([1] + [a for a in exponents if a > 1])
 
 
 def hilbert_series(ideal) -> HilbertSeries:
     """Exact Hilbert series of R/I for an Artinian monomial ideal I.
 
     R/I is the tensor product of its factors (``core.tensor_factors``), so
-    its series is the product of theirs.  The free variables form one
-    complete intersection, and a linked group with one cross generator is
-    an almost complete intersection; both have closed forms.  Any other
-    group is answered by counting its standard monomials per degree, so a
-    group basis of more than MAX_TABLE_ENTRIES exponents (n prod a_j) is
-    refused, and so is a product of more multiply-adds than that.
+    its series is the ``_product`` of theirs, from the complete intersection
+    of the free variables on.  A linked group with one cross generator is an
+    almost complete intersection, with a closed form.  Any other group is
+    answered by counting its standard monomials per degree, so a group
+    basis of more than MAX_TABLE_ENTRIES exponents (n prod a_j) is refused.
     """
     if ideal.is_unit():
         return HilbertSeries(())
     parts = tensor_factors(ideal)
-    series = ci_series([ideal.bounds[p[0]] for p in parts if len(p) == 1])
-    factors = [
+    return _product([ci_series([ideal.bounds[p[0]] for p in parts if len(p) == 1])] + [
         maci_from_ideal(group).series() if len(group.cross) == 1
         else HilbertSeries([len(bucket) for bucket in standard_monomial_table(group)])
         for group in (restrict(ideal, p) for p in parts if len(p) > 1)
-    ]
-    cost, length = 0, len(series.coeffs)
-    for f in factors:  # series * f takes len(series) * len(f) multiply-adds
-        cost, length = cost + length * len(f.coeffs), length + len(f.coeffs) - 1
-    check_table_size((cost,))
-    for f in factors:
-        series = series * f
-    return series
+    ])
 
 
 def compact_repr(value) -> str:

@@ -17,7 +17,8 @@ from lefschetz.classify import (
     support_two_grid,
     symmetric_grid,
 )
-from _util import survey_rows_per_spec
+from lefschetz.core import parse_ideal
+from _util import hilbert_series_by_counting, survey_rows_per_spec
 
 TOGLIATTI = "x1^3, x2^3, x3^3, x1*x2*x3"
 GOLDEN = "x1^2, x2^3, x3^4, x4^5, x1*x2*x3*x4"
@@ -577,15 +578,32 @@ def test_survey_rows_accept_any_iterable_of_specs():
     [
         ("hilbert", "x1^30000, x2^30000"),
         ("classify", '{"a":[3000,6000,9000],"m":[1,3000,3000]}'),
+        # 1 * 2 + 2 * 2 + ... + 3000 * 2 multiply-adds for the 3,000 boxes 1 + t
+        ("hilbert", json.dumps({"a": [2] * 3000, "m": [1, 1] + [0] * 2998})),
+        ("classify", json.dumps({"a": [2, 3, 4] + [2] * 2000, "m": [1, 1, 1] + [0] * 2000})),
+        ("hilbert", ", ".join(f"x{j}^300" for j in range(1, 11))),  # 4,039,500 multiply-adds
+        # the series is checked before a piece is widened by a box of 10^12 ones
+        ("csm", '{"a":[2,1000000000000],"m":[1,1]}'),
     ],
 )
 def test_series_over_the_work_budget_is_refused(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
-    assert time.perf_counter() - start < 5
+    assert time.perf_counter() - start < 1
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
+
+
+def test_hilbert_multiplies_a_skewed_closed_form(capsys):
+    # (1 + t + ... + t^999)(1 + t) takes about 2,000 multiply-adds; check
+    # prints the same series, but writes 500,500 records to do so
+    for text in ("x1^1000, x2^2, x1*x2", "x1^1000, x2^2, x1*x2, x3^2, x4^2, x3*x4"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--json", "hilbert", text)
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert json.loads(out) == hilbert_series_by_counting(parse_ideal(text)).as_dict()
 
 
 def _wide_spec(n):

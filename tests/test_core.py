@@ -398,12 +398,12 @@ def test_ci_series():
 
 
 def test_ci_series_refuses_a_product_over_the_work_budget():
-    # cost = coefficient count (sum(a) - n + 1) times max(a)
-    assert ci_series([500, 500]).coeffs[499] == 500  # 999 * 500 entries
+    # cost = multiply-adds of the boxes' product from the series 1: a1 + a1 * a2
+    assert ci_series([500, 500]).coeffs[499] == 500  # 500 + 500 * 500 multiply-adds
     with pytest.raises(ValueError, match="budget"):
         ci_series([30000, 30000])
     with pytest.raises(ValueError, match="budget"):
-        ci_series([1001, 1001])  # 2001 * 1001 entries
+        ci_series([1001, 1001])  # 1001 + 1001 * 1001 multiply-adds
 
 
 def test_socle_degree_examples():
