@@ -13,10 +13,10 @@ the same basis, int64 exponent arrays over the factor's variables,
 enumerated once the table's budget is checked.  The table is reduced
 modulo a prime below 2^26 once per report, and ``_certified_rank``
 eliminates each ranked cell once modulo the prime, in its narrower
-orientation (the cell or its transpose, whichever has fewer columns).  A
-product of two residues then stays below 2^52, so the elimination
-subtracts about 2^11 rank-one updates from its trailing block before that
-block must be reduced, instead of reducing it after every pivot.
+orientation (the cell or its transpose, whichever has fewer columns).
+Each pivot's rank-one update touches only the rows with a nonzero in the
+pivot column, and as a product of two residues stays below 2^52, about
+2^11 updates go unreduced before the trailing block must be reduced.
 That can only underestimate the rank over Q, so whenever it reports
 min(dim) the map is proven to have full rank.  Below that, the rank r mod
 p is still a proven lower bound, and the matching upper bound comes from
@@ -75,7 +75,7 @@ from math import factorial, isqrt, lcm
 import numpy as np
 
 from .core import MonomialIdeal, check_table_size, restrict, standard_monomial_table, tensor_factors
-from .series import HilbertSeries
+from .series import HilbertSeries, maci_from_ideal
 
 _PRIME = 67_108_859  # the largest prime below 2^26; see _REDUCE_EVERY
 # the largest primes below 2^26, for Chinese remaindering of kernel vectors;
@@ -173,22 +173,15 @@ def matrix_rank(matrix) -> int:
     of the input matrix, kept as an arbitrary-precision integer.
     """
     M = [[int(x) for x in row] for row in matrix]
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    if ncols == 0:
+    if not M or not M[0]:
         return 0
-    rank = 0
-    prev = 1
+    nrows, ncols = len(M), len(M[0])
+    rank, prev = 0, 1
     for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if M[r][col]:
-                piv = r
-                break
+        piv = next((r for r in range(rank, nrows) if M[r][col]), None)
         if piv is None:
             continue
-        if piv != rank:
-            M[rank], M[piv] = M[piv], M[rank]
+        M[rank], M[piv] = M[piv], M[rank]
         pivot_row = M[rank]
         pivot = pivot_row[col]
         for r in range(rank + 1, nrows):
@@ -207,33 +200,32 @@ def matrix_rank(matrix) -> int:
 def _echelon_mod_prime(matrix, p):
     """Pivot columns and nonzero rows of a row echelon form of an int64 matrix over F_p.
 
-    Every pivot is scaled to 1 and the rows are reduced mod p.  Reduction is
-    delayed (Dumas, Giorgi and Pernet, ACM TOMS 2008): each step reduces
-    only the pivot column, to find the pivot, and the pivot row, to scale
-    it, and subtracts their outer product from the trailing block without
-    reducing it.  An update lowers an entry by at most (p - 1)^2, so the
-    block is reduced every ``_REDUCE_EVERY`` pivots, before int64 could
-    wrap.  Entries left of the pivot column are exactly 0 below it, and the
-    rows returned were reduced as they became pivot rows.
+    ``matrix`` is left unchanged; every pivot is scaled to 1 and the rows are
+    reduced mod p.  Reduction is delayed (Dumas, Giorgi and Pernet, ACM TOMS
+    2008): each step reduces the pivot column, to find the pivot, and the
+    pivot row, to scale it in place, and subtracts their outer product,
+    unreduced, from only the rows below with a nonzero in the pivot column.
+    An update lowers an entry by at most (p - 1)^2, so the block is reduced
+    every ``_REDUCE_EVERY`` pivots, before int64 could wrap.  Entries left of
+    the pivot column are exactly 0 below it, and pivot rows are reduced.
     """
     A = np.mod(matrix, p)
-    nrows, ncols = A.shape
     pivots = []
-    for col in range(ncols):
+    for col in range(A.shape[1]):  # once every row holds a pivot, later columns see empty slices
         rank = len(pivots)
         A[rank:, col] %= p
-        nz = np.flatnonzero(A[rank:, col])
+        nz = rank + np.flatnonzero(A[rank:, col])
         if nz.size == 0:
             continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            A[[rank, piv]] = A[[piv, rank]]
-        inv = pow(int(A[rank, col]), p - 2, p)
-        A[rank, col:] = A[rank, col:] % p * inv % p
-        A[rank + 1 :, col:] -= np.multiply.outer(A[rank + 1 :, col], A[rank, col:])
+        if nz[0] != rank:  # the old row rank has a 0 here, and moves out of nz
+            A[[rank, nz[0]]] = A[[nz[0], rank]]
+        row = A[rank, col:]
+        row %= p
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        if nz.size > 1:
+            A[nz[1:], col:] -= A[nz[1:], col, None] * row
         pivots.append(col)
-        if rank + 1 == nrows:
-            break
         if len(pivots) % _REDUCE_EVERY == 0:
             A[rank + 1 :, col + 1 :] %= p
     return pivots, A[: len(pivots)]
@@ -440,8 +432,7 @@ def _scheduled_maps(ideal):
     maps = []
     for t in range(socle, 0, -1):
         for i in range(0, socle - t + 1):
-            dim_src = len(keys[i])
-            dim_tgt = len(keys[i + t])
+            dim_src, dim_tgt = len(keys[i]), len(keys[i + t])
             implied_by = None
             if dim_src <= dim_tgt and i in injective:
                 rank, certificate, implied_by = dim_src, CERT_IMPLIED, injective[i]
@@ -483,15 +474,22 @@ def lefschetz_report(ideal) -> LefschetzReport:
     With several factors, each linked group is ranked once per process, a
     free x_j is the string [0, a_j - 1], strings combine by the Clebsch-Gordan
     rule, and the rank of l^t on A_i (h_i when t = 0) counts the strings with
-    s <= i and e >= i + t.  The budget counts each group's power table and the ranks.
+    s <= i and e >= i + t.  The budget counts each group's power table and the
+    (D + 1)^2 ranks of socle degree D, all before any group is ranked.
     """
     parts = tensor_factors(ideal)
     if len(parts) < 2:
         return LefschetzReport(ideal, *_scheduled_maps(restrict(ideal, parts[0])))
     components = [(p, ideal.bounds[p[0]] if len(p) == 1 else restrict(ideal, p)) for p in parts]
-    factors = [(((0, f - 1), 1),) if isinstance(f, int) else _component(f)[1] for _, f in components]
-    socle = sum(max(e for (_, e), _ in factor) for factor in factors)
+    socle = 0
+    for _, f in components:  # every factor's socle degree, before any cell is ranked
+        if isinstance(f, int):
+            socle += f - 1
+        else:  # a group's power table is checked first, as _power_table will
+            check_table_size([2 * a - 1 for a in f.bounds])
+            socle += maci_from_ideal(f).socle_degree() if len(f.cross) == 1 else len(standard_monomial_table(f)) - 1
     check_table_size((socle + 1, socle + 1))
+    factors = [(((0, f - 1), 1),) if isinstance(f, int) else _component(f)[1] for _, f in components]
     strings = {(0, 0): 1}
     for factor in factors:
         product = Counter()

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import lefschetz.oracle
 from lefschetz.cli import main, survey_rows
 from lefschetz.classify import (
     CsmDecomposition,
@@ -604,6 +605,28 @@ def test_hilbert_multiplies_a_skewed_closed_form(capsys):
         assert time.perf_counter() - start < 1
         assert (code, err) == (0, "")
         assert json.loads(out) == hilbert_series_by_counting(parse_ideal(text)).as_dict()
+
+
+@pytest.mark.parametrize(
+    "text, entries",
+    [
+        # the rank table of socle 1,000 is over the budget
+        ("x1^1000, x2^2, x1*x2, x3^2, x4^2, x3*x4", 1002001),
+        # the second group's power table, 199^3, is refused first, as before
+        ("x1^1000, x2^2, x1*x2, x3^100, x4^100, x5^100, x3*x4*x5", 7880599),
+    ],
+)
+def test_check_refuses_an_over_budget_tensor_report_before_ranking(capsys, monkeypatch, text, entries):
+    def never(ideal):
+        raise AssertionError(f"ranked {ideal}")
+
+    monkeypatch.setattr(lefschetz.oracle, "_scheduled_maps", never)
+    lefschetz.oracle._component.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", text)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == f"error: a table of {entries} entries exceeds the budget of 1000000\n"
 
 
 def _wide_spec(n):

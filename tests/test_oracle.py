@@ -2,6 +2,7 @@
 
 import json
 import time
+from collections import Counter
 from math import isqrt
 
 import numpy as np
@@ -424,9 +425,14 @@ def test_delayed_reduction_cannot_overflow_int64():
     assert _REDUCE_EVERY * (_PRIME - 1) ** 2 + _PRIME < 2**63
 
 
+def _sparse(rng, rows, cols, density):
+    return rng.integers(1, _PRIME, (rows, cols)) * (rng.random((rows, cols)) < density)
+
+
 def _echelon_cases():
     """Tall, wide, square, rank-deficient and all-(p-1) matrices, zero
-    columns, and the ranked cells of a spec with deficient cells."""
+    columns, pivots alone in their column, pivots found far below the rank,
+    sparse matrices, and the ranked cells of a spec with deficient cells."""
     rng = np.random.default_rng(163)
     p = _PRIME
     cases = [np.full((9, 9), p - 1), np.full((12, 5), p - 1), np.full((5, 12), p - 1)]
@@ -439,6 +445,19 @@ def _echelon_cases():
         holes[:, rng.integers(0, cols, 2)] = 0
         cases.append(holes)
         cases.append(rng.integers(-3, 4, (rows, cols)))
+    # every pivot is the only nonzero left in its column: no row to update
+    triangle = np.triu(rng.integers(1, p, (10, 10)))
+    cases += [triangle, triangle[:, 3:], np.eye(6, dtype=np.int64)]
+    # each pivot is the last nonzero of its column, swapped up from far below
+    cases += [triangle[::-1], np.vstack([np.zeros((15, 10), dtype=np.int64), triangle])[::-1]]
+    far = np.zeros((20, 6), dtype=np.int64)
+    far[17, 0] = 5
+    far[3:, 1:] = _sparse(rng, 17, 5, 0.3)
+    cases.append(far)
+    for rows, cols in [(30, 11), (11, 30), (60, 25), (25, 60), (40, 40)]:
+        for density in (0.05, 0.1, 0.2):
+            cases.append(_sparse(rng, rows, cols, density))
+            cases.append(_sparse(rng, rows, 4, 0.5) @ _sparse(rng, 4, cols, density) % p)  # rank <= 4
     keys, table, center = _power_table(MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal())
     residues = (table % p).astype(np.int64)
     for t in range(1, len(keys)):
@@ -454,15 +473,19 @@ def test_echelon_mod_prime_equals_the_stepwise_reference(monkeypatch, reduce_eve
     # every 2 pivots runs the periodic reduction of the trailing block on
     # matrices far smaller than _REDUCE_EVERY
     monkeypatch.setattr(lefschetz.oracle, "_REDUCE_EVERY", reduce_every)
-    deficient = 0
+    kinds = Counter()
     for matrix in _echelon_cases():
-        pivots, echelon = _echelon_mod_prime(matrix.copy(), _PRIME)
+        given = matrix.copy()
+        pivots, echelon = _echelon_mod_prime(matrix, _PRIME)
+        assert np.array_equal(matrix, given)  # the argument is left unchanged
         want_pivots, want_echelon = echelon_mod_prime_stepwise(matrix.copy(), _PRIME)
         assert pivots == want_pivots
         assert echelon.dtype == want_echelon.dtype
         assert np.array_equal(echelon, want_echelon)
-        deficient += len(pivots) < min(matrix.shape)
-    assert deficient > 0
+        sparse = np.count_nonzero(matrix) <= 0.2 * matrix.size
+        kinds[sparse, matrix.shape[0] > matrix.shape[1], len(pivots) < min(matrix.shape)] += 1
+    # sparse and dense, tall and wide, each both of full rank and deficient
+    assert len(kinds) == 8
 
 
 def test_power_table_over_the_work_budget_is_refused():
