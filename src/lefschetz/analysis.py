@@ -8,6 +8,7 @@ the classification procedures consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 def is_symmetric(hs) -> bool:
@@ -62,6 +63,7 @@ class TwoVarProfile:
     almost_centered: bool
 
 
+@lru_cache(maxsize=1024)
 def two_var_profile(a, b, alpha, beta) -> TwoVarProfile:
     """Closed-form profile of the two-variable quotient k[x,y]/(x^a, y^b, x^alpha y^beta).
 
@@ -72,6 +74,7 @@ def two_var_profile(a, b, alpha, beta) -> TwoVarProfile:
     at most two down to the socle degree b + alpha - 2; it is symmetric iff
     a + beta = b, and fails to be almost centered exactly when
     b >= a + beta + 2, or a - alpha >= 2, beta >= 2 and b <= a + beta - 2.
+    The frozen profile is cached and shared by equal arguments.
     """
     if not (1 <= alpha < a):
         raise ValueError("need 1 <= alpha < a")

@@ -23,7 +23,7 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from .analysis import coincides, is_symmetric, reflecting_degree, two_var_profile
-from .core import MAX_TABLE_ENTRIES, MAX_VAR_INDEX, check_table_size, pure_power
+from .core import MAX_TABLE_ENTRIES, MAX_VAR_INDEX, Monomial, check_table_size, pure_power
 from .oracle import HypothesisViolation
 from .series import HilbertSeries, MaciSpec, ci_series, compact_repr
 
@@ -65,9 +65,9 @@ def classify_support_two(spec) -> ClassificationVerdict:
     i, j = supp
     profile = two_var_profile(spec.a[i], spec.a[j], spec.m[i], spec.m[j])
     a1, a2, alpha, beta = profile.a, profile.b, profile.alpha, profile.beta
-    extras = sorted(spec.a[k] for k in range(spec.n) if k not in supp)
-    active = [e for e in extras if e >= 2]
-    n_eff = 2 + len(active)
+    extras = sorted(spec.a[:i] + spec.a[i + 1 : j] + spec.a[j + 1 :])
+    ignored = extras.count(1)  # x_k^1 = x_k vanishes in the quotient
+    n_eff = spec.n - ignored
     stars = {
         "a1_eq_alpha_plus_1": a1 == alpha + 1,
         "beta_eq_1": beta == 1,
@@ -82,7 +82,7 @@ def classify_support_two(spec) -> ClassificationVerdict:
         "alpha": alpha,
         "beta": beta,
         "extras": extras,
-        "ignored_unit_exponents": len(extras) - len(active),
+        "ignored_unit_exponents": ignored,
         "n_effective": n_eff,
         "two_var_almost_centered": profile.almost_centered,
         "explicit_conditions": explicit,
@@ -90,7 +90,7 @@ def classify_support_two(spec) -> ClassificationVerdict:
     }
     if n_eff == 2:
         return ClassificationVerdict(True, RULE_N_EQ_2, details)
-    if n_eff == 3 and active[0] <= 2:
+    if n_eff == 3 and extras[-1] <= 2:
         return ClassificationVerdict(True, RULE_N3_CUBE_LE_2, details)
     if profile.almost_centered:
         return ClassificationVerdict(True, RULE_ALMOST_CENTERED, details)
@@ -366,10 +366,11 @@ def symmetric_grid(n_values, max_socle, max_exp=None):
                     for assign in permutations(range(size)):
                         for pos, k in enumerate(supp):
                             a[k], m[k] = values[assign[pos]], climbs[assign[pos]]
+                        extra = Monomial(m)  # shared by every spec below
                         for extras in free[budget]:
                             for k, e in zip(nonsupp, extras):
                                 a[k] = e
-                            specs.append(MaciSpec(a, m))
+                            specs.append(MaciSpec(a, extra))
     return specs
 
 

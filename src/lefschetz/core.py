@@ -19,6 +19,7 @@ Lefschetz report both work factor by factor from one split.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import compress
 from math import prod
 
@@ -37,22 +38,25 @@ DIGITS = "0123456789"  # str.isdigit also admits non-ASCII digits
 
 
 class Monomial(tuple):
-    """An exponent vector; entry ``i`` is the exponent of ``x_{i+1}``."""
+    """An exponent vector; entry ``i`` is the exponent of ``x_{i+1}``, in
+    [0, MAX_EXPONENT].  Its first bad entry names the error: ValueError if
+    negative, OverflowError if too large.  ``support`` is computed once."""
 
     def __new__(cls, exponents):
-        exps = tuple(int(e) for e in exponents)
-        for e in exps:
-            if e < 0:
-                raise ValueError(f"negative exponent in {exps}")
-            if e > MAX_EXPONENT:
-                raise OverflowError("exponent exceeds the 63-bit guard")
+        exps = tuple(map(int, exponents))
+        if exps and not (min(exps) >= 0 and max(exps) <= MAX_EXPONENT):
+            for e in exps:
+                if e < 0:
+                    raise ValueError(f"negative exponent in {exps}")
+                if e > MAX_EXPONENT:
+                    raise OverflowError("exponent exceeds the 63-bit guard")
         return super().__new__(cls, exps)
 
     @property
     def degree(self) -> int:
         return sum(self)
 
-    @property
+    @cached_property
     def support(self) -> tuple:
         return tuple(compress(range(len(self)), self))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import groupby
-from operator import mul
+from operator import lt, mul
 
 from .core import (
     Monomial,
@@ -220,24 +220,26 @@ class MaciSpec:
 
     Constraints: every a_i >= 1, 0 <= m_i < a_i, and m involves at least two
     variables.  Together these make (x_1^{a_1}, ..., x_n^{a_n}, m) an
-    Artinian ideal with exactly n + 1 minimal generators.
+    Artinian ideal with exactly n + 1 minimal generators.  A failing
+    constraint is named by its first bad index, a_i before m_i.
     """
 
     __slots__ = ("n", "a", "m", "support")
 
     def __init__(self, a, m):
-        a = tuple(int(x) for x in a)
+        a = tuple(map(int, a))
         m = m if isinstance(m, Monomial) else Monomial(m)
         if len(a) != len(m):
             raise ValueError("exponent vectors have different lengths")
         n = len(a)
         if n < 2:
             raise ValueError("need at least two variables")
-        for ai, mi in zip(a, m):
-            if ai < 1:
-                raise ValueError("pure power exponents must be >= 1")
-            if not mi < ai:
-                raise ValueError("the extra generator needs m_i < a_i for every i")
+        if not (min(a) >= 1 and all(map(lt, m, a))):
+            for ai, mi in zip(a, m):
+                if ai < 1:
+                    raise ValueError("pure power exponents must be >= 1")
+                if not mi < ai:
+                    raise ValueError("the extra generator needs m_i < a_i for every i")
         support = m.support
         if len(support) < 2:
             raise ValueError("the extra generator must involve at least two variables")

@@ -2,7 +2,7 @@
 
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, permutations, product
 from math import factorial
 
 import numpy as np
@@ -26,8 +26,16 @@ from lefschetz import (
     slp_symmetric,
     standard_monomial_table,
     symmetric_witness,
+    two_var_profile,
 )
-from lefschetz.classify import RULE_SYMMETRIC_HS
+from lefschetz.classify import (
+    RULE_ALMOST_CENTERED,
+    RULE_N3_CUBE_LE_2,
+    RULE_N_EQ_2,
+    RULE_NOT_APPLICABLE,
+    RULE_SYMMETRIC_HS,
+    _support_chains,
+)
 from lefschetz.cli import _survey_one, survey_rows
 from lefschetz.oracle import (
     _PRIME,
@@ -304,6 +312,27 @@ def echelon_mod_prime_stepwise(matrix, p):
     return pivots, A[: len(pivots)]
 
 
+def echelon_mod_prime_by_ints(rows, p):
+    """Reference row echelon form over F_p in Python ints, which cannot wrap:
+    the pivot search, row swap and pivot scaling of ``echelon_mod_prime_stepwise``
+    on a list of rows, returning pivot columns and the nonzero rows as lists."""
+    A = [[x % p for x in row] for row in rows]
+    pivots = []
+    for col in range(len(A[0]) if A else 0):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(A)) if A[r][col]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        inv = pow(A[rank][col], -1, p)
+        A[rank] = [x * inv % p for x in A[rank]]
+        for r in range(rank + 1, len(A)):
+            c = A[r][col]
+            A[r] = [(x - c * y) % p for x, y in zip(A[r], A[rank])]
+        pivots.append(col)
+    return pivots, A[: len(pivots)]
+
+
 def lefschetz_report_all_cells(ideal):
     """Reference report that ranks every cell l^t : A_i -> A_{i+t}, i + t <= socle.
 
@@ -512,3 +541,71 @@ def piece_ideal(piece):
         return piece.quotient.ideal()
     n = len(piece.quotient)
     return MonomialIdeal(n, [pure_power(n, i, e) for i, e in enumerate(piece.quotient)])
+
+
+def classify_support_two_by_scan(spec):
+    """Reference support-two verdict: the uncached two-variable profile, the
+    extras found by scanning every variable and the active ones listed."""
+    supp = spec.support
+    if len(supp) != 2:
+        raise ValueError("the extra generator must involve exactly two variables")
+    i, j = supp
+    profile = two_var_profile.__wrapped__(spec.a[i], spec.a[j], spec.m[i], spec.m[j])
+    a1, a2, alpha, beta = profile.a, profile.b, profile.alpha, profile.beta
+    extras = sorted(spec.a[k] for k in range(spec.n) if k not in supp)
+    active = [e for e in extras if e >= 2]
+    n_eff = 2 + len(active)
+    stars = {
+        "a1_eq_alpha_plus_1": a1 == alpha + 1,
+        "beta_eq_1": beta == 1,
+        "a2_ge_a1_plus_beta_minus_1": a2 >= a1 + beta - 1,
+    }
+    explicit = a2 < a1 + beta + 2 and any(stars.values())
+    details = {
+        "support": (i + 1, j + 1),
+        "swapped": profile.swapped,
+        "a1": a1,
+        "a2": a2,
+        "alpha": alpha,
+        "beta": beta,
+        "extras": extras,
+        "ignored_unit_exponents": len(extras) - len(active),
+        "n_effective": n_eff,
+        "two_var_almost_centered": profile.almost_centered,
+        "explicit_conditions": explicit,
+        "stars": stars,
+    }
+    if n_eff == 2:
+        return ClassificationVerdict(True, RULE_N_EQ_2, details)
+    if n_eff == 3 and active[0] <= 2:
+        return ClassificationVerdict(True, RULE_N3_CUBE_LE_2, details)
+    if profile.almost_centered:
+        return ClassificationVerdict(True, RULE_ALMOST_CENTERED, details)
+    return ClassificationVerdict(False, RULE_NOT_APPLICABLE, details)
+
+
+def symmetric_grid_per_spec(n_values, max_socle, max_exp=None):
+    """Reference symmetric grid that builds every spec's extra generator
+    from its own exponent list, in the enumeration order of symmetric_grid."""
+    cap = max_socle + 2 if max_exp is None else min(max_exp, max_socle + 2)
+    specs = []
+    for n in n_values:
+        for size in range(2, n + 1):
+            chains = _support_chains(size, cap, max_socle)
+            free = {}
+            for supp in combinations(range(n), size):
+                nonsupp = [k for k in range(n) if k not in supp]
+                for values, climbs in chains:
+                    budget = max_socle - (climbs[0] + sum(values[1:]) - size)
+                    if budget not in free:
+                        tuples = product(range(1, cap + 1), repeat=n - size)
+                        free[budget] = [e for e in tuples if sum(e) - n + size <= budget]
+                    a, m = [0] * n, [0] * n
+                    for assign in permutations(range(size)):
+                        for pos, k in enumerate(supp):
+                            a[k], m[k] = values[assign[pos]], climbs[assign[pos]]
+                        for extras in free[budget]:
+                            for k, e in zip(nonsupp, extras):
+                                a[k] = e
+                            specs.append(MaciSpec(a, m))
+    return specs

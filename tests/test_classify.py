@@ -1,6 +1,7 @@
 """Classification rules, the symmetric decomposition and cross-verification."""
 
 import hashlib
+import json
 from itertools import permutations
 
 import pytest
@@ -25,6 +26,7 @@ from lefschetz import (
 )
 from _util import (
     classify_maci_per_spec,
+    classify_support_two_by_scan,
     hilbert_series_by_colon,
     hilbert_series_by_counting,
     is_symmetric_maci,
@@ -32,6 +34,7 @@ from _util import (
     rand_maci,
     seeded,
     survey_disagreements,
+    symmetric_grid_per_spec,
 )
 
 
@@ -510,6 +513,34 @@ def test_classify_maci_equals_the_per_spec_reference():
         symmetric += got.rule == "symmetric_hs"
     classes = {spec.relabeling_class() for spec in grid}
     assert symmetric > 2 * len(classes)
+
+
+def test_support_two_verdicts_equal_the_scanning_reference():
+    # same JSON text, key order included, for canonical and relabeled
+    # support-two specs and the support-two specs of the symmetric grid
+    rng = seeded(20)
+    grid = support_two_grid([2, 3, 4], 5)
+    renamed = []
+    for spec in grid:
+        perm = list(range(spec.n))
+        rng.shuffle(perm)
+        renamed.append(MaciSpec(_rename(spec.a, perm), _rename(spec.m, perm)))
+    symmetric = [spec for spec in symmetric_grid([2, 3, 4], 9) if len(spec.support) == 2]
+    rules = set()
+    for spec in grid + renamed + symmetric:
+        got = classify_support_two(spec)
+        assert json.dumps(got.as_dict()) == json.dumps(classify_support_two_by_scan(spec).as_dict()), spec
+        rules.add(got.rule)
+    assert rules == {"n_eq_2", "n3_cube_le_2", "almost_centered", "not_applicable"}
+
+
+def test_symmetric_grid_equals_the_per_spec_reference():
+    # one extra generator per support assignment, shared by the specs that
+    # fill in the other exponents, gives the same specs in the same order
+    got = symmetric_grid([2, 3, 4], 9)
+    want = symmetric_grid_per_spec([2, 3, 4], 9)
+    assert [(s.a, tuple(s.m)) for s in got] == [(s.a, tuple(s.m)) for s in want]
+    assert all(s.m.support == w.m.support for s, w in zip(got, want))
 
 
 def test_classify_maci_certifies_each_symmetric_class_once(monkeypatch):

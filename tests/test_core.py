@@ -457,6 +457,50 @@ def test_maci_spec_validation():
         MaciSpec((3, 3, 3), (1, 1))
 
 
+@pytest.mark.parametrize(
+    "exponents, error, message",
+    [
+        ((2**63, -1), OverflowError, "exponent exceeds the 63-bit guard"),
+        ((-1, 2**63), ValueError, f"negative exponent in (-1, {2**63})"),
+        ((3, -2, 2**63), ValueError, f"negative exponent in (3, -2, {2**63})"),
+        ((0, 2**63 - 1, 2**64), OverflowError, "exponent exceeds the 63-bit guard"),
+    ],
+)
+def test_monomial_refusals_name_the_first_bad_entry(exponents, error, message):
+    with pytest.raises(error) as exc:
+        Monomial(exponents)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "a, m, error, message",
+    [
+        ((1, 0), (1, 0), ValueError, "the extra generator needs m_i < a_i for every i"),
+        ((3, 0), (3, 1), ValueError, "the extra generator needs m_i < a_i for every i"),
+        ((0, 3), (0, 4), ValueError, "pure power exponents must be >= 1"),
+        ((2, 0), (1, 1), ValueError, "pure power exponents must be >= 1"),
+        ((3, -1, 2), (1, 1, 5), ValueError, "pure power exponents must be >= 1"),
+        ((3, 3), (1, -1), ValueError, "negative exponent in (1, -1)"),
+        ((0, 0), (1, 2**63), OverflowError, "exponent exceeds the 63-bit guard"),
+        ((0, 3, 3), (1, 1), ValueError, "exponent vectors have different lengths"),
+        ((0,), (1,), ValueError, "need at least two variables"),
+        ((), (), ValueError, "need at least two variables"),
+        ((3, 3, 3), (0, 2, 0), ValueError, "the extra generator must involve at least two variables"),
+        ((3, 3), (0, 0), ValueError, "the extra generator must involve at least two variables"),
+    ],
+)
+def test_maci_spec_refusals_keep_their_precedence(a, m, error, message):
+    # lengths, then n, then the first index whose a_i or m_i is bad (a_i
+    # first), then the support; a bad m entry is refused by Monomial first
+    with pytest.raises(error) as exc:
+        MaciSpec(a, m)
+    assert str(exc.value) == message
+    if all(0 <= e < 2**63 for e in m):  # the same refusal for a prebuilt Monomial
+        with pytest.raises(error) as exc:
+            MaciSpec(a, Monomial(m))
+        assert str(exc.value) == message
+
+
 def test_maci_from_ideal():
     spec = maci_from_ideal(parse_ideal(TOGLIATTI))
     assert spec.a == (3, 3, 3) and tuple(spec.m) == (1, 1, 1)

@@ -36,6 +36,7 @@ from lefschetz.oracle import (
 )
 from _util import (
     contains,
+    echelon_mod_prime_by_ints,
     echelon_mod_prime_stepwise,
     lefschetz_report_all_cells,
     map_at,
@@ -466,6 +467,22 @@ def _echelon_cases():
             if cell.size:
                 cases.append(residues[cell])
     return cases
+
+
+def test_echelon_mod_prime_reduces_before_int64_wraps(monkeypatch):
+    # below 2^31 an update lowers an entry by up to (p - 1)^2, about 2^62,
+    # so this prime's reduction period is 2 pivots, and a third unreduced
+    # update of a dense matrix would wrap int64
+    p = 2**31 - 1
+    monkeypatch.setattr(lefschetz.oracle, "_REDUCE_EVERY", (2**63 - 1 - p) // (p - 1) ** 2)
+    assert lefschetz.oracle._REDUCE_EVERY == 2
+    rng = np.random.default_rng(20)
+    for rows, cols in [(12, 12), (16, 9), (9, 16)]:
+        matrix = rng.integers(0, p, (rows, cols))
+        pivots, echelon = _echelon_mod_prime(matrix, p)
+        want_pivots, want_rows = echelon_mod_prime_by_ints(matrix.tolist(), p)
+        assert pivots == want_pivots
+        assert echelon.tolist() == want_rows
 
 
 @pytest.mark.parametrize("reduce_every", [_REDUCE_EVERY, 2])
