@@ -205,10 +205,9 @@ def cmd_check(args):
     if args.slp or not args.wlp:
         lines.append(f"slp: {str(report.slp).lower()}")
         if report.witnesses:
-            lines.append(
-                "failing maps: " + ", ".join(f"(i={i}, t={t})" for i, t in report.witnesses)
-            )
-    _emit(args, report.as_dict(), "\n".join(lines))
+            lines.append("failing maps: " + ", ".join(f"(i={i}, t={t})" for i, t in report.witnesses))
+    # records are built for JSON output only
+    _emit(args, report.as_dict() if args.json else None, "\n".join(lines))
     return 0
 
 

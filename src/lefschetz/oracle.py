@@ -41,7 +41,7 @@ rank from cells already proven (Migliore, Miro-Roig and Nagel, Trans. AMS
 * if l^t : A_i -> A_{i+t} is surjective, so is l^t : A_{i+1} -> A_{i+1+t},
   because A is generated in degree 1.
 
-``_scheduled_maps`` therefore visits t from the socle degree down to 1,
+``_scheduled_ranks`` therefore visits t from the socle degree down to 1,
 keeping the sources proven injective and the least i + t of a cell proven
 surjective.  A cell that must be injective (dim A_i <= dim A_{i+t}) is
 implied when its source is proven injective; one that must be surjective
@@ -50,8 +50,8 @@ cells are ranked.  For a symmetric Hilbert function of socle degree D this
 ranks the central maps l^(D-2i) : A_i -> A_(D-i) first, and when they are
 bijective, the strong Lefschetz property in the narrow sense of Harima et
 al., *The Lefschetz Properties* (LNM 2080), nothing else.  A rank-deficient
-cell is never implied, so each one is certified.  Each ``MapRecord`` names
-its ``certificate``:
+cell is never implied, so each one is certified.  Each cell of the report's
+rank table has a ``certificate``, and its ``MapRecord`` is built on demand:
 
 * "mod_p": full rank mod p;
 * "kernel": rank mod p, matched by verified integer kernel vectors;
@@ -88,11 +88,6 @@ _PRIMES = (
 # each subtracts at most (p - 1)^2 < 2^52 from an entry in [0, p), and the
 # entry must stay above -2^63
 _REDUCE_EVERY = (2**63 - 1 - _PRIME) // (_PRIME - 1) ** 2
-
-REASON_INJECTIVE = "injective"
-REASON_SURJECTIVE = "surjective"
-REASON_BIJECTIVE = "bijective"
-REASON_NEITHER = "neither"
 
 CERT_MOD_P = "mod_p"  # full rank shown by elimination modulo the prime
 CERT_KERNEL = "kernel"  # rank mod p matched by kernel vectors verified over Z
@@ -360,9 +355,9 @@ class MapRecord:
     def __post_init__(self):
         self.full_rank = self.rank == min(self.dim_src, self.dim_tgt)
         if self.rank == self.dim_src:
-            self.reason = REASON_BIJECTIVE if self.rank == self.dim_tgt else REASON_INJECTIVE
+            self.reason = "bijective" if self.rank == self.dim_tgt else "injective"
         else:
-            self.reason = REASON_SURJECTIVE if self.rank == self.dim_tgt else REASON_NEITHER
+            self.reason = "surjective" if self.rank == self.dim_tgt else "neither"
 
     def as_dict(self):
         # the fields in declaration order; vars() would put the derived ones last
@@ -373,20 +368,39 @@ class MapRecord:
 
 @dataclass
 class LefschetzReport:
-    """All maps with i + t <= socle in (t, i) order, and the verdicts they give."""
+    """The rank table of the maps with i + t <= socle, and the verdicts it gives.
+
+    ``ranks[i, j]`` (Python ints) is the rank of l^(j - i) on A_i for i < j, h_i
+    for i = j and 0 below; ``proofs`` maps (i, t) to (certificate, implied_by), and
+    a cell missing from it is "tensor".  A map fails below min(h_i, h_{i+t}).
+    """
 
     ideal: MonomialIdeal
-    series: HilbertSeries
-    maps: list
+    ranks: np.ndarray
+    proofs: dict
     components: tuple = ()  # with several factors: (variables, a_j or ideal) of each
+    series: HilbertSeries = field(init=False)
     wlp: bool = field(init=False)
     slp: bool = field(init=False)
     witnesses: list = field(init=False)
 
     def __post_init__(self):
-        self.witnesses = [(rec.i, rec.t) for rec in self.maps if not rec.full_rank]
-        self.wlp = all(rec.full_rank for rec in self.maps if rec.t == 1)
+        h = self.ranks.diagonal()
+        self.series = HilbertSeries(h)
+        i, j = np.nonzero(np.triu(self.ranks < np.minimum.outer(h, h), 1))
+        self.witnesses = sorted(zip(i.tolist(), (j - i).tolist()), key=lambda w: (w[1], w[0]))
+        self.wlp = all(t > 1 for _, t in self.witnesses)
         self.slp = not self.witnesses
+
+    @property
+    def maps(self):
+        """The record of every map with i + t <= socle, in (t, i) order, built on each call."""
+        r = self.ranks.tolist()
+        return [
+            MapRecord(i, t, r[i][i], r[i + t][i + t], r[i][i + t], *self.proofs.get((i, t), (CERT_TENSOR, None)))
+            for t in range(1, len(r))
+            for i in range(len(r) - t)
+        ]
 
     def as_dict(self):
         report = {
@@ -403,73 +417,65 @@ class LefschetzReport:
             if isinstance(f, int):
                 entry["exponent"] = f
             else:
-                series, _, records = _component(f)
-                entry["report"] = LefschetzReport(f, series, [MapRecord(*r) for r in records]).as_dict()
+                entry["report"] = _component(f)[0].as_dict()
             report.setdefault("components", []).append(entry)
         return report
 
 
-def _scheduled_maps(ideal):
-    """Series and records of the implication-scheduled ranking of ``ideal``.
+def _scheduled_ranks(ideal):
+    """Rank table and proofs of ``ideal`` by the implication-scheduled ranking.
 
     Beyond the socle degree every target space is zero and full rank is
     automatic, so those cells are not enumerated.  No cell has a zero source
     or target: A_i = 0 would force A_{i+1} = A_1 A_i = 0, so the Hilbert
     function has no internal zeros (Harima et al.).  Cells are visited from
     t = socle down to 1, and a cell whose full rank follows from cells
-    already proven (see the module docstring) is recorded without being
-    ranked; records are returned in (t, i) order all the same.
+    already proven (see the module docstring) is entered without being
+    ranked, with the proven cell as its ``implied_by``.
     """
     keys, table, center = _power_table(ideal)
-    series = HilbertSeries([len(bucket) for bucket in keys])
-    if series.is_zero():
-        return series, []
-    socle = series.socle_degree
+    h = [len(bucket) for bucket in keys]
+    ranks = np.diag(np.array(h, dtype=object))
     residues = (table % _PRIME).astype(np.int64)
 
     injective = {}  # source degree -> a proven cell (i, t) injective on it
-    surjective = (socle + 1, None)  # least i + t of a proven surjective cell, and that cell
-    maps = []
-    for t in range(socle, 0, -1):
-        for i in range(0, socle - t + 1):
-            dim_src, dim_tgt = len(keys[i]), len(keys[i + t])
-            implied_by = None
+    surjective = (len(h), None)  # least i + t of a proven surjective cell, and that cell
+    proofs = {}
+    for t in range(len(h) - 1, 0, -1):
+        for i in range(len(h) - t):
+            dim_src, dim_tgt = h[i], h[i + t]
             if dim_src <= dim_tgt and i in injective:
-                rank, certificate, implied_by = dim_src, CERT_IMPLIED, injective[i]
+                rank, proofs[i, t] = dim_src, (CERT_IMPLIED, injective[i])
             elif dim_src >= dim_tgt and i + t >= surjective[0]:
-                rank, certificate, implied_by = dim_tgt, CERT_IMPLIED, surjective[1]
+                rank, proofs[i, t] = dim_tgt, (CERT_IMPLIED, surjective[1])
             else:
                 cell = center + keys[i + t][:, None] - keys[i]
                 rank, certificate = _certified_rank(cell, residues, table, i, t)
-            rec = MapRecord(i, t, dim_src, dim_tgt, rank, certificate, implied_by)
+                proofs[i, t] = (certificate, None)
+            ranks[i, i + t] = rank
             # a full-rank square cell is bijective and proves both directions
-            if rec.full_rank and dim_src <= dim_tgt:
+            if rank == dim_src <= dim_tgt:
                 injective.setdefault(i, (i, t))
-            if rec.full_rank and dim_src >= dim_tgt and i + t < surjective[0]:
+            if rank == dim_tgt <= dim_src and i + t < surjective[0]:
                 surjective = (i + t, (i, t))
-            maps.append(rec)
-    maps.sort(key=lambda rec: (rec.t, rec.i))
-    return series, maps
+    return ranks, proofs
 
 
 @lru_cache(maxsize=1024)
 def _component(group):
-    """Series, strings ((s, e), count) and records (MapRecord init fields) of a linked
-    group's ideal, whose strings [s, e] number
-    r(s, e-s) - r(s-1, e-s+1) - r(s, e-s+1) + r(s-1, e-s+2), r(i, t) = rank l^t|A_i."""
-    series, maps = _scheduled_maps(group)
-    covering = np.diag(np.array(series.coeffs, dtype=object))  # r(i, j - i) at [i, j]
-    covering[[rec.i for rec in maps], [rec.i + rec.t for rec in maps]] = [rec.rank for rec in maps]
-    count = np.triu(-np.diff(np.diff(covering, axis=0, prepend=0), axis=1, append=0))
+    """Report and strings ((s, e), count) of a linked group's ideal, whose strings
+    [s, e] number r(s, e-s) - r(s-1, e-s+1) - r(s, e-s+1) + r(s-1, e-s+2),
+    r(i, t) = rank l^t|A_i, read off the report's rank table."""
+    report = LefschetzReport(group, *_scheduled_ranks(group))
+    count = np.triu(-np.diff(np.diff(report.ranks, axis=0, prepend=0), axis=1, append=0))
     if (count < 0).any():
         raise HypothesisViolation(f"the ranks of {group} give a negative count of strings")
     strings = tuple(((int(s), int(e)), count[s, e]) for s, e in zip(*np.nonzero(count)))
-    records = tuple(tuple(getattr(rec, f.name) for f in fields(rec) if f.init) for rec in maps)
-    return series, strings, records
+    return report, strings
 
 
 def lefschetz_report(ideal) -> LefschetzReport:
-    """Exact rank record of every map l^t : A_i -> A_{i+t}, i + t <= socle.
+    """Exact rank table of every map l^t : A_i -> A_{i+t}, i + t <= socle.
 
     With several factors, each linked group is ranked once per process, a
     free x_j is the string [0, a_j - 1], strings combine by the Clebsch-Gordan
@@ -479,7 +485,7 @@ def lefschetz_report(ideal) -> LefschetzReport:
     """
     parts = tensor_factors(ideal)
     if len(parts) < 2:
-        return LefschetzReport(ideal, *_scheduled_maps(restrict(ideal, parts[0])))
+        return LefschetzReport(ideal, *_scheduled_ranks(restrict(ideal, parts[0])))
     components = [(p, ideal.bounds[p[0]] if len(p) == 1 else restrict(ideal, p)) for p in parts]
     socle = 0
     for _, f in components:  # every factor's socle degree, before any cell is ranked
@@ -501,9 +507,4 @@ def lefschetz_report(ideal) -> LefschetzReport:
     count = np.zeros((socle + 1, socle + 1), dtype=object)
     count[tuple(np.array(list(strings)).T)] = list(strings.values())
     covering = count[:, ::-1].cumsum(axis=1)[:, ::-1].cumsum(axis=0)  # strings over [i, j]
-    maps = [
-        MapRecord(i, t, covering[i, i], covering[i + t, i + t], covering[i, i + t], CERT_TENSOR)
-        for t in range(1, socle + 1)
-        for i in range(socle - t + 1)
-    ]
-    return LefschetzReport(ideal, HilbertSeries(covering.diagonal()), maps, tuple(components))
+    return LefschetzReport(ideal, np.triu(covering), {}, tuple(components))

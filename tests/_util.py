@@ -4,6 +4,7 @@ import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -11,7 +12,6 @@ from lefschetz import (
     ClassificationVerdict,
     HilbertSeries,
     HypothesisViolation,
-    LefschetzReport,
     MaciSpec,
     MapRecord,
     Monomial,
@@ -338,13 +338,12 @@ def lefschetz_report_all_cells(ideal):
 
     Each cell is ranked mod p and, below full rank, again by Bareiss
     elimination; nothing is implied.  Records come in (t, i) order, like
-    lefschetz_report, and the report derives its verdicts from them.
+    lefschetz_report's, and the witnesses, wlp and slp are read off them
+    here, cell by cell, with no verdict code of the oracle's.
     """
     keys, table, center = _power_table(ideal)
     series = hilbert_series(ideal)
-    if series.is_zero():
-        return LefschetzReport(ideal, series, [])
-    socle = series.socle_degree
+    socle = 0 if series.is_zero() else series.socle_degree  # no cell when zero
     residues = (table % _PRIME).astype(np.int64)
 
     maps = []
@@ -361,7 +360,37 @@ def lefschetz_report_all_cells(ideal):
                     )
                 rank, certificate = exact, CERT_EXACT
             maps.append(MapRecord(i, t, len(keys[i]), len(keys[i + t]), rank, certificate))
-    return LefschetzReport(ideal, series, maps)
+    witnesses = [(rec.i, rec.t) for rec in maps if rec.rank < min(rec.dim_src, rec.dim_tgt)]
+    return SimpleNamespace(
+        ideal=ideal,
+        series=series,
+        maps=maps,
+        witnesses=witnesses,
+        wlp=all(t > 1 for _, t in witnesses),
+        slp=not witnesses,
+    )
+
+
+def jordan_type(report):
+    """The lengths of the strings of l on A, longest first, read off the
+    report's rank table by second differences: count(s, e) = r(s, e) -
+    r(s-1, e) - r(s, e+1) + r(s-1, e+1) strings run from degree s to e, where
+    r(i, j) is the rank of l^(j-i) on A_i, h_i when i = j, and 0 outside the
+    table."""
+    r = report.ranks.tolist()
+    top = len(r) - 1
+
+    def at(i, j):
+        return r[i][j] if i >= 0 and j <= top else 0
+
+    lengths = []
+    for s in range(top + 1):
+        for e in range(s, top + 1):
+            count = at(s, e) - at(s - 1, e) - at(s, e + 1) + at(s - 1, e + 1)
+            if count < 0:
+                raise AssertionError(f"{count} strings from degree {s} to {e} in {report.ideal}")
+            lengths += [e - s + 1] * count
+    return sorted(lengths, reverse=True)
 
 
 def ranks_from_components(payload):

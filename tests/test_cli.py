@@ -620,7 +620,7 @@ def test_check_refuses_an_over_budget_tensor_report_before_ranking(capsys, monke
     def never(ideal):
         raise AssertionError(f"ranked {ideal}")
 
-    monkeypatch.setattr(lefschetz.oracle, "_scheduled_maps", never)
+    monkeypatch.setattr(lefschetz.oracle, "_scheduled_ranks", never)
     lefschetz.oracle._component.cache_clear()
     start = time.perf_counter()
     code, out, err = run(capsys, "check", text)

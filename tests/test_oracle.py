@@ -3,6 +3,7 @@
 import json
 import time
 from collections import Counter
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -23,8 +24,10 @@ from lefschetz import (
     pure_power,
     standard_monomial_table,
     support_two_grid,
+    symmetric_grid,
 )
 from lefschetz.classify import all_maci_grid
+from lefschetz.cli import survey_rows
 from lefschetz.core import tensor_factors
 from lefschetz.oracle import (
     _PRIME,
@@ -38,6 +41,7 @@ from _util import (
     contains,
     echelon_mod_prime_by_ints,
     echelon_mod_prime_stepwise,
+    jordan_type,
     lefschetz_report_all_cells,
     map_at,
     multiplication_matrix_by_entries,
@@ -219,9 +223,9 @@ def _record_keys(report):
     ]
 
 
-def test_report_matches_all_cells_reference():
-    # implied records against ranking every cell, on MACIs with and without
-    # the SLP and on other Artinian ideals
+@lru_cache(maxsize=1)
+def _reference_ideals():
+    """MACIs with and without the SLP, at least 20 without, and other Artinian ideals."""
     rng = seeded(137)
     ideals = [TOGLIATTI] + [rand_maci(rng, rng.randint(2, 4), 5).ideal() for _ in range(12)]
     ideals += [rand_artinian_ideal(rng, rng.randint(1, 4), max_bound=5, extra=3) for _ in range(12)]
@@ -230,13 +234,62 @@ def test_report_matches_all_cells_reference():
         ideal = rand_maci(rng, rng.randint(3, 4), 5).ideal()
         if not lefschetz_report_all_cells(ideal).slp:
             failing.append(ideal)
-    for ideal in ideals + failing:
+    return ideals + failing
+
+
+def test_report_matches_all_cells_reference():
+    # implied records against ranking every cell
+    for ideal in _reference_ideals():
         got = lefschetz_report(ideal)
         want = lefschetz_report_all_cells(ideal)
         assert _record_keys(got) == _record_keys(want), ideal
         assert (got.witnesses, got.wlp, got.slp) == (want.witnesses, want.wlp, want.slp)
         assert got.series == hilbert_series(ideal), ideal
-    assert sum(1 for ideal in ideals + failing if not lefschetz_report(ideal).slp) >= 20
+    assert sum(1 for ideal in _reference_ideals() if not lefschetz_report(ideal).slp) >= 20
+
+
+def test_jordan_type_gives_the_per_cell_verdicts():
+    # l is strong Lefschetz iff its Jordan type is the conjugate of the
+    # Hilbert function, and weak Lefschetz iff it has max h_i strings
+    # (Iarrobino, Marques and McDaniel, J. Commut. Algebra 2022).  A relabeled
+    # spec has the same rank table, so one spec per class stands for its class.
+    reps = {}
+    for spec in all_maci_grid([3, 4], 5):
+        reps.setdefault(spec.relabeling_class(), spec)
+    grid = [lefschetz_report(spec.ideal()) for spec in reps.values()]
+    reports = [lefschetz_report(ideal) for ideal in _reference_ideals()] + grid
+    for report in reports:
+        h = report.series.coeffs
+        lengths = jordan_type(report)
+        assert sum(lengths) == sum(h), report.ideal
+        assert report.slp == (lengths == [sum(c >= k for c in h) for k in range(1, max(h) + 1)]), report.ideal
+        assert report.wlp == (len(lengths) == max(h)), report.ideal
+    # non-WLP classes such as a=(3, 3, 3), m=(1, 1, 1), and non-SLP reports
+    # that are WLP, so that each criterion is tested on its own
+    assert sum(not report.wlp for report in grid) >= 20
+    assert sum(not report.slp for report in reports if report.wlp) >= 20
+
+
+def test_reports_build_records_only_for_output(monkeypatch, fresh_components):
+    def no_record(*args):
+        raise RuntimeError("a map record was built")
+
+    grid = symmetric_grid([3], 5)
+    want = [{**vars(row), "ms": 0.0} for row in survey_rows(grid)]
+    monkeypatch.setattr(lefschetz.oracle, "MapRecord", no_record)
+    lefschetz.oracle._component.cache_clear()
+    # one factor: the scheduled ranking fills the table
+    report = lefschetz_report(TOGLIATTI)
+    assert (report.series.coeffs, report.wlp, report.slp) == ((1, 3, 6, 6, 3), False, False)
+    assert report.witnesses == [(2, 1)]
+    # 31 factors: the Clebsch-Gordan rule fills it
+    wide = lefschetz_report(MaciSpec((2, 3, 4) + (2,) * 30, (1, 1, 1) + (0,) * 30).ideal())
+    assert (wide.wlp, wide.slp, wide.witnesses) == (True, True, [])
+    assert sum(wide.series.coeffs) == 19_327_352_832
+    assert [{**vars(row), "ms": 0.0} for row in survey_rows(grid)] == want
+    # records are built for output, and only there
+    with pytest.raises(RuntimeError, match="map record"):
+        report.as_dict()
 
 
 def test_report_ranks_only_the_central_cells_of_a_symmetric_spec():
