@@ -34,11 +34,48 @@ RULE_SYMMETRIC_HS = "symmetric_hs"
 RULE_NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)  # not frozen: a frozen __init__ costs three times as much
 class ClassificationVerdict:
+    """A rule's verdict and its source: the spec, or for symmetric_hs the
+    witness ordering.  Equal verdicts have equal as_dict()."""
+
     slp: bool
     rule: str
-    details: dict
+    source: object
+
+    @cached_property
+    def details(self) -> dict:
+        """Built from the source on first read, once per verdict."""
+        if self.rule == RULE_SYMMETRIC_HS:
+            return {"witness_order": [k + 1 for k in self.source]}
+        (i, j), a, m = self.source.support, self.source.a, self.source.m
+        profile = two_var_profile(a[i], a[j], m[i], m[j])
+        a1, a2, alpha, beta = profile.a, profile.b, profile.alpha, profile.beta
+        extras = sorted(a[:i] + a[i + 1 : j] + a[j + 1 :])
+        ignored = extras.count(1)
+        stars = {
+            "a1_eq_alpha_plus_1": a1 == alpha + 1,
+            "beta_eq_1": beta == 1,
+            "a2_ge_a1_plus_beta_minus_1": a2 >= a1 + beta - 1,
+        }
+        explicit = a2 < a1 + beta + 2 and any(stars.values())
+        return {
+            "support": (i + 1, j + 1),
+            "swapped": profile.swapped,
+            "a1": a1,
+            "a2": a2,
+            "alpha": alpha,
+            "beta": beta,
+            "extras": extras,
+            "ignored_unit_exponents": ignored,
+            "n_effective": len(a) - ignored,
+            "two_var_almost_centered": profile.almost_centered,
+            "explicit_conditions": explicit,
+            "stars": stars,
+        }
+
+    def __eq__(self, other):
+        return isinstance(other, ClassificationVerdict) and self.as_dict() == other.as_dict()
 
     def as_dict(self):
         return {"slp": self.slp, "rule": self.rule, "details": self.details}
@@ -63,38 +100,15 @@ def classify_support_two(spec) -> ClassificationVerdict:
     if len(supp) != 2:
         raise ValueError("the extra generator must involve exactly two variables")
     i, j = supp
-    profile = two_var_profile(spec.a[i], spec.a[j], spec.m[i], spec.m[j])
-    a1, a2, alpha, beta = profile.a, profile.b, profile.alpha, profile.beta
-    extras = sorted(spec.a[:i] + spec.a[i + 1 : j] + spec.a[j + 1 :])
-    ignored = extras.count(1)  # x_k^1 = x_k vanishes in the quotient
-    n_eff = spec.n - ignored
-    stars = {
-        "a1_eq_alpha_plus_1": a1 == alpha + 1,
-        "beta_eq_1": beta == 1,
-        "a2_ge_a1_plus_beta_minus_1": a2 >= a1 + beta - 1,
-    }
-    explicit = a2 < a1 + beta + 2 and any(stars.values())
-    details = {
-        "support": (i + 1, j + 1),
-        "swapped": profile.swapped,
-        "a1": a1,
-        "a2": a2,
-        "alpha": alpha,
-        "beta": beta,
-        "extras": extras,
-        "ignored_unit_exponents": ignored,
-        "n_effective": n_eff,
-        "two_var_almost_centered": profile.almost_centered,
-        "explicit_conditions": explicit,
-        "stars": stars,
-    }
+    extras = spec.a[:i] + spec.a[i + 1 : j] + spec.a[j + 1 :]
+    n_eff = spec.n - extras.count(1)  # x_k^1 = x_k vanishes in the quotient
     if n_eff == 2:
-        return ClassificationVerdict(True, RULE_N_EQ_2, details)
-    if n_eff == 3 and extras[-1] <= 2:
-        return ClassificationVerdict(True, RULE_N3_CUBE_LE_2, details)
-    if profile.almost_centered:
-        return ClassificationVerdict(True, RULE_ALMOST_CENTERED, details)
-    return ClassificationVerdict(False, RULE_NOT_APPLICABLE, details)
+        return ClassificationVerdict(True, RULE_N_EQ_2, spec)
+    if n_eff == 3 and max(extras) <= 2:
+        return ClassificationVerdict(True, RULE_N3_CUBE_LE_2, spec)
+    if two_var_profile(spec.a[i], spec.a[j], spec.m[i], spec.m[j]).almost_centered:
+        return ClassificationVerdict(True, RULE_ALMOST_CENTERED, spec)
+    return ClassificationVerdict(False, RULE_NOT_APPLICABLE, spec)
 
 
 def symmetric_witness(spec):
@@ -279,8 +293,8 @@ def classify_maci(spec):
     renaming the variables gives an isomorphic quotient with the same
     series, whose central-simple-module decomposition is the renamed
     decomposition, so every proof obligation holds on one spec of a class
-    exactly when it holds on all of them.  The witness ordering in the
-    details is still that of the labeled spec.
+    exactly when it holds on all of them.  The verdict holds the witness
+    ordering of the labeled spec, and builds its details from it on first read.
     """
     if len(spec.support) == 2:
         return classify_support_two(spec)
@@ -291,9 +305,7 @@ def classify_maci(spec):
         _certify_symmetric_class(spec.relabeling_class())
     except HypothesisViolation as exc:
         raise HypothesisViolation(f"certifying the class of {spec}: {exc}") from exc
-    return ClassificationVerdict(
-        True, RULE_SYMMETRIC_HS, {"witness_order": [k + 1 for k in witness]}
-    )
+    return ClassificationVerdict(True, RULE_SYMMETRIC_HS, witness)
 
 
 def support_two_grid(n_values, max_exp, extra_exp=None):

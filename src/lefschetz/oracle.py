@@ -195,16 +195,16 @@ def matrix_rank(matrix) -> int:
 def _echelon_mod_prime(matrix, p):
     """Pivot columns and nonzero rows of a row echelon form of an int64 matrix over F_p.
 
-    ``matrix`` is left unchanged; every pivot is scaled to 1 and the rows are
-    reduced mod p.  Reduction is delayed (Dumas, Giorgi and Pernet, ACM TOMS
-    2008): each step reduces the pivot column, to find the pivot, and the
-    pivot row, to scale it in place, and subtracts their outer product,
-    unreduced, from only the rows below with a nonzero in the pivot column.
-    An update lowers an entry by at most (p - 1)^2, so the block is reduced
-    every ``_REDUCE_EVERY`` pivots, before int64 could wrap.  Entries left of
-    the pivot column are exactly 0 below it, and pivot rows are reduced.
+    ``matrix`` has entries in [0, p) and is left unchanged; every pivot is
+    scaled to 1 and the rows are reduced mod p.  Reduction is delayed (Dumas,
+    Giorgi and Pernet, ACM TOMS 2008): each step reduces the pivot column, to
+    find the pivot, and the pivot row, to scale it in place, and subtracts
+    their outer product, unreduced, from only the rows below with a nonzero
+    in the pivot column.  An update lowers an entry by at most (p - 1)^2, so
+    the block is reduced every ``_REDUCE_EVERY`` pivots, before int64 could
+    wrap.  Entries left of the pivot column are exactly 0 below it.
     """
-    A = np.mod(matrix, p)
+    A = matrix.copy()
     pivots = []
     for col in range(A.shape[1]):  # once every row holds a pivot, later columns see empty slices
         rank = len(pivots)
@@ -360,10 +360,13 @@ class MapRecord:
             self.reason = "surjective" if self.rank == self.dim_tgt else "neither"
 
     def as_dict(self):
-        # the fields in declaration order; vars() would put the derived ones last
-        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record = {name: getattr(self, name) for name in _RECORD_FIELDS}
         record["implied_by"] = None if self.implied_by is None else list(self.implied_by)
         return record
+
+
+# the fields in declaration order; vars() would put the derived ones last
+_RECORD_FIELDS = tuple(f.name for f in fields(MapRecord))
 
 
 @dataclass

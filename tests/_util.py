@@ -9,7 +9,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from lefschetz import (
-    ClassificationVerdict,
     HilbertSeries,
     HypothesisViolation,
     MaciSpec,
@@ -17,7 +16,6 @@ from lefschetz import (
     Monomial,
     MonomialIdeal,
     ci_series,
-    classify_support_two,
     hilbert_series,
     is_symmetric,
     matrix_rank,
@@ -550,17 +548,17 @@ def survey_rows_per_spec(specs):
 
 
 def classify_maci_per_spec(spec):
-    """Reference classification that certifies every symmetric spec on its
-    own labels through slp_symmetric, with no cache across a class."""
+    """Reference classification payload, the as_dict() of a verdict or None:
+    support-two specs by the scanning reference, and every symmetric spec
+    certified on its own labels through slp_symmetric, with no cache across
+    a class."""
     if len(spec.support) == 2:
-        return classify_support_two(spec)
+        return classify_support_two_by_scan(spec)
     witness = symmetric_witness(spec)
     if witness is None:
         return None
     slp_symmetric(spec)
-    return ClassificationVerdict(
-        True, RULE_SYMMETRIC_HS, {"witness_order": [k + 1 for k in witness]}
-    )
+    return {"slp": True, "rule": RULE_SYMMETRIC_HS, "details": {"witness_order": [k + 1 for k in witness]}}
 
 
 def piece_ideal(piece):
@@ -573,8 +571,9 @@ def piece_ideal(piece):
 
 
 def classify_support_two_by_scan(spec):
-    """Reference support-two verdict: the uncached two-variable profile, the
-    extras found by scanning every variable and the active ones listed."""
+    """Reference support-two payload, the as_dict() of a verdict with its
+    details built eagerly: the uncached two-variable profile, the extras
+    found by scanning every variable and the active ones listed."""
     supp = spec.support
     if len(supp) != 2:
         raise ValueError("the extra generator must involve exactly two variables")
@@ -605,12 +604,14 @@ def classify_support_two_by_scan(spec):
         "stars": stars,
     }
     if n_eff == 2:
-        return ClassificationVerdict(True, RULE_N_EQ_2, details)
-    if n_eff == 3 and active[0] <= 2:
-        return ClassificationVerdict(True, RULE_N3_CUBE_LE_2, details)
-    if profile.almost_centered:
-        return ClassificationVerdict(True, RULE_ALMOST_CENTERED, details)
-    return ClassificationVerdict(False, RULE_NOT_APPLICABLE, details)
+        slp, rule = True, RULE_N_EQ_2
+    elif n_eff == 3 and active[0] <= 2:
+        slp, rule = True, RULE_N3_CUBE_LE_2
+    elif profile.almost_centered:
+        slp, rule = True, RULE_ALMOST_CENTERED
+    else:
+        slp, rule = False, RULE_NOT_APPLICABLE
+    return {"slp": slp, "rule": rule, "details": details}
 
 
 def symmetric_grid_per_spec(n_values, max_socle, max_exp=None):

@@ -509,7 +509,7 @@ def test_classify_maci_equals_the_per_spec_reference():
     symmetric = 0
     for spec in grid + renamed:
         got = classify_maci(spec)
-        assert got == classify_maci_per_spec(spec), spec
+        assert got.as_dict() == classify_maci_per_spec(spec), spec
         symmetric += got.rule == "symmetric_hs"
     classes = {spec.relabeling_class() for spec in grid}
     assert symmetric > 2 * len(classes)
@@ -529,9 +529,53 @@ def test_support_two_verdicts_equal_the_scanning_reference():
     rules = set()
     for spec in grid + renamed + symmetric:
         got = classify_support_two(spec)
-        assert json.dumps(got.as_dict()) == json.dumps(classify_support_two_by_scan(spec).as_dict()), spec
+        assert json.dumps(got.as_dict()) == json.dumps(classify_support_two_by_scan(spec)), spec
         rules.add(got.rule)
     assert rules == {"n_eq_2", "n3_cube_le_2", "almost_centered", "not_applicable"}
+
+
+def test_verdicts_build_their_details_only_when_read(monkeypatch):
+    import lefschetz.classify as classify_mod
+    from lefschetz.cli import survey_rows
+
+    def no_details(*args):
+        raise RuntimeError("verdict details were built")
+
+    specs = support_two_grid([2, 3, 4], 4) + symmetric_grid([2, 3, 4], 6)
+    want = [(v.slp, v.rule) for v in map(classify_maci, specs)]
+    survey = symmetric_grid([3], 5)
+    want_rows = [{**vars(row), "ms": 0.0} for row in survey_rows(survey)]
+    monkeypatch.setattr(classify_mod.ClassificationVerdict, "details", property(no_details))
+    verdicts = [classify_maci(spec) for spec in specs]
+    assert [(v.slp, v.rule) for v in verdicts] == want
+    assert {v.rule for v in verdicts} == {
+        "n_eq_2", "n3_cube_le_2", "almost_centered", "not_applicable", "symmetric_hs"
+    }
+    assert [{**vars(row), "ms": 0.0} for row in survey_rows(survey)] == want_rows
+    for verdict in verdicts:
+        with pytest.raises(RuntimeError, match="details"):
+            verdict.as_dict()
+    monkeypatch.undo()
+    # built on first read, once per verdict
+    verdict = classify_maci(MaciSpec((4, 6, 1, 3), (2, 3, 0, 0)))
+    assert "details" not in vars(verdict)
+    assert verdict.details["ignored_unit_exponents"] == 1
+    assert verdict.as_dict()["details"] is verdict.details is vars(verdict)["details"]
+
+
+def test_verdicts_are_equal_when_slp_rule_and_details_are():
+    # other specs, the same sorted extras and so the same details
+    spec = MaciSpec((4, 6, 2, 3), (2, 3, 0, 0))
+    assert classify_maci(spec) == classify_maci(MaciSpec((4, 6, 3, 2), (2, 3, 0, 0)))
+    # same slp and rule; the relabeled pair is normalized by a swap
+    swapped = classify_maci(MaciSpec((6, 4, 2, 3), (3, 2, 0, 0)))
+    assert (swapped.slp, swapped.rule) == (classify_maci(spec).slp, classify_maci(spec).rule)
+    assert swapped != classify_maci(spec)
+    # same slp and rule, witness orders [1, 2, 3] and [2, 1, 3]
+    ordered = classify_maci(MaciSpec((2, 3, 5), (1, 1, 2)))
+    renamed = classify_maci(MaciSpec((3, 2, 5), (1, 1, 2)))
+    assert (ordered.slp, ordered.rule) == (renamed.slp, renamed.rule) == (True, "symmetric_hs")
+    assert ordered != renamed and ordered == classify_maci(MaciSpec((2, 3, 5), (1, 1, 2)))
 
 
 def test_symmetric_grid_equals_the_per_spec_reference():

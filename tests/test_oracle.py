@@ -136,7 +136,7 @@ def test_matrix_rank_matches_modular_on_small_integers():
         if rng.random() < 0.4 and rows > 1:  # force rank deficiency sometimes
             mat[-1] = [2 * x for x in mat[0]]
         exact = matrix_rank(mat)
-        modular = len(_echelon_mod_prime(np.array(mat, dtype=np.int64), _PRIME)[0])
+        modular = len(_echelon_mod_prime(np.array(mat, dtype=np.int64) % _PRIME, _PRIME)[0])
         assert exact == modular, mat
 
 
@@ -439,7 +439,7 @@ def test_kernel_certificate_gives_up_rather_than_understate():
     # is not a kernel vector over Z and the second prime has other pivots,
     # so Bareiss ranks it
     matrix = [[_PRIME, 0], [0, 1]]
-    assert len(_echelon_mod_prime(np.array(matrix, dtype=np.int64), _PRIME)[0]) == 1
+    assert len(_echelon_mod_prime(np.array(matrix, dtype=np.int64) % _PRIME, _PRIME)[0]) == 1
     assert _certify(matrix) == (2, "exact")
     # rank 1 in either orientation; more columns than rows means the
     # transpose is the one whose kernel is taken
