@@ -100,11 +100,10 @@ def classify_support_two(spec) -> ClassificationVerdict:
     if len(supp) != 2:
         raise ValueError("the extra generator must involve exactly two variables")
     i, j = supp
-    extras = spec.a[:i] + spec.a[i + 1 : j] + spec.a[j + 1 :]
-    n_eff = spec.n - extras.count(1)  # x_k^1 = x_k vanishes in the quotient
+    n_eff = spec.n - spec.a.count(1)  # x_k^1 = x_k vanishes; as 1 <= m_k < a_k, no support a_k is 1
     if n_eff == 2:
         return ClassificationVerdict(True, RULE_N_EQ_2, spec)
-    if n_eff == 3 and max(extras) <= 2:
+    if n_eff == 3 and max(spec.a[:i] + spec.a[i + 1 : j] + spec.a[j + 1 :]) <= 2:
         return ClassificationVerdict(True, RULE_N3_CUBE_LE_2, spec)
     if two_var_profile(spec.a[i], spec.a[j], spec.m[i], spec.m[j]).almost_centered:
         return ClassificationVerdict(True, RULE_ALMOST_CENTERED, spec)
@@ -167,8 +166,7 @@ class CsmPiece:
 
     def widened_series(self) -> HilbertSeries:
         """Series of the piece tensored with k[t]/(t^multiplier), shifted."""
-        width = HilbertSeries([1] * self.multiplier)
-        return self.series.shifted(self.shift) * width
+        return self.series.shifted(self.shift).widened(self.multiplier)
 
     def as_dict(self):
         return {

@@ -6,14 +6,16 @@ the grading shift of submodule slices.  There are two routes to a series:
 closed forms, the product form of a complete intersection and MaciSpec.series
 for one extra generator, and otherwise a count of the standard-monomial basis.
 ``hilbert_series`` takes one route per tensor factor and multiplies them in
-``_product``, which alone prices and multiplies chains of series.
+``_product``, which alone prices and multiplies chains of series.  The
+constructor is the one place that checks and trims: sums and differences
+go through it, and a box 1 + ... + t^(m-1) widens a series by running sums.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import groupby
-from operator import lt, mul
+from itertools import accumulate, groupby
+from operator import add, lt, sub
 
 from .core import (
     Monomial,
@@ -37,16 +39,14 @@ class HilbertSeries:
     __slots__ = ("offset", "coeffs")
 
     def __init__(self, coeffs, offset=0):
-        cs = [int(c) for c in coeffs]
-        if any(c < 0 for c in cs):
+        cs = list(map(int, coeffs))
+        if cs and min(cs) < 0:
             raise ValueError("negative coefficient in Hilbert series")
-        nonzero = [k for k, c in enumerate(cs) if c]
-        if not nonzero:
-            self.offset = 0
-            self.coeffs = ()
-        else:
-            self.offset = int(offset) + nonzero[0]
-            self.coeffs = tuple(cs[nonzero[0] : nonzero[-1] + 1])
+        while cs and not cs[-1]:
+            cs.pop()
+        lo = next((k for k, c in enumerate(cs) if c), 0)
+        self.offset = int(offset) + lo if cs else 0
+        self.coeffs = tuple(cs[lo:])
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -79,40 +79,39 @@ class HilbertSeries:
     @classmethod
     def _trusted(cls, coeffs, offset):
         """Series from a coefficient tuple already trimmed and nonnegative, as
-        sums, products and shifts of such series are; skips the checks."""
+        shifts, products and widenings of such series are; skips the checks."""
         series = object.__new__(cls)
         series.coeffs = coeffs
         series.offset = offset
         return series
 
     def shifted(self, k) -> "HilbertSeries":
-        if self.is_zero():
-            return self
-        return HilbertSeries._trusted(self.coeffs, self.offset + k)
+        return HilbertSeries._trusted(self.coeffs, self.offset + k) if self.coeffs else self
+
+    def _aligned(self, other, op):
+        """self op other degree by degree, through the checking constructor."""
+        lo = min(self.offset, other.offset)
+        k, end = other.offset - lo, other.offset - lo + len(other.coeffs)
+        out = [0] * (self.offset - lo) + list(self.coeffs)
+        out += [0] * (end - len(out))
+        out[k:end] = map(op, out[k:end], other.coeffs)
+        return HilbertSeries(out, lo)
 
     def __add__(self, other):
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if other.offset < self.offset:
-            self, other = other, self
-        out = list(self.coeffs)
-        start = other.offset - self.offset
-        out.extend([0] * (start + len(other.coeffs) - len(out)))
-        for k, c in enumerate(other.coeffs, start):
-            out[k] += c
-        return HilbertSeries._trusted(tuple(out), self.offset)
+        return self._aligned(other, add)
 
     def __sub__(self, other):
         """Coefficientwise difference; raises if any coefficient goes negative."""
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            raise ValueError("negative coefficient in Hilbert series")
-        lo = min(self.offset, other.offset)
-        hi = max(self.socle_degree, other.socle_degree)
-        return HilbertSeries([self[d] - other[d] for d in range(lo, hi + 1)], lo)
+        return self._aligned(other, sub)
+
+    def widened(self, m) -> "HilbertSeries":
+        """Product with the box 1 + t + ... + t^(m-1), zero when m <= 0: each
+        coefficient is a difference of two running sums, O(len + m) in all."""
+        if m < 1 or self.is_zero():
+            return HilbertSeries(())
+        pad = (0,) * (m - 1)
+        run = list(accumulate(pad + self.coeffs + pad, initial=0))
+        return HilbertSeries._trusted(tuple(map(sub, run[m:], run)), self.offset)
 
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
@@ -151,16 +150,17 @@ class HilbertSeries:
 def _product(factors) -> HilbertSeries:
     """Product of a chain of nonzero series, an int a standing for 1 + t + ... + t^(a-1).
 
-    Multiplied left to right from the first factor, each step takes the running
-    length times the next factor's length in multiply-adds.  A chain of more than
-    MAX_TABLE_ENTRIES multiply-adds is refused before any int factor is built.
+    Priced as multiplied left to right, each step taking the running length
+    times the next factor's length in multiply-adds; a chain of more than
+    MAX_TABLE_ENTRIES is refused first.  Int factors widen, series multiply.
     """
     lengths = [f if isinstance(f, int) else len(f.coeffs) for f in factors]
     cost, length = 0, lengths[0]
     for k in lengths[1:]:
         cost, length = cost + length * k, length + k - 1
     check_table_size((cost,))
-    return reduce(mul, [HilbertSeries._trusted((1,) * f, 0) if isinstance(f, int) else f for f in factors])
+    one = HilbertSeries._trusted((1,), 0)
+    return reduce(lambda s, f: s.widened(f) if isinstance(f, int) else s * f, factors, one)
 
 
 def ci_series(exponents) -> HilbertSeries:

@@ -149,6 +149,27 @@ def hilbert_series_by_colon(ideal):
     return hilbert_series_by_colon(rest) - hilbert_series_by_colon(quot).shifted(m.degree)
 
 
+def series_by_degree(p, q, op):
+    """Reference p op q: op on p[d] and q[d] for every degree from the lowest
+    offset to the highest socle degree of the nonzero operands, rebuilt
+    through the checking constructor (the per-degree walk of p - q)."""
+    ends = [d for s in (p, q) if not s.is_zero() for d in (s.offset, s.socle_degree)]
+    if not ends:
+        return HilbertSeries(())
+    lo, hi = min(ends), max(ends)
+    return HilbertSeries([op(p[d], q[d]) for d in range(lo, hi + 1)], lo)
+
+
+def widened_by_schoolbook(series, m):
+    """Reference product of series with the box 1 + t + ... + t^(m-1), one
+    multiply-add per coefficient and box term; the zero series when m <= 0."""
+    out = [0] * (len(series.coeffs) + max(m, 1) - 1)
+    for i, c in enumerate(series.coeffs):
+        for j in range(m):
+            out[i + j] += c
+    return HilbertSeries(out, series.offset)
+
+
 def render_ideal(ideal):
     """Inverse of parse_ideal on nonzero, non-unit ideals."""
     if not ideal.generators:

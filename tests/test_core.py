@@ -1,6 +1,7 @@
 """Monomial arithmetic, parsing, colon ideals, bases and Hilbert series."""
 
 import time
+from operator import add, sub
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from lefschetz import (
     render_monomial,
     standard_monomial_table,
 )
+from lefschetz.classify import CsmPiece
 from lefschetz.core import restrict, tensor_factors
 from _util import (
     colon_by_monomial,
@@ -32,14 +34,17 @@ from _util import (
     rand_artinian_ideal,
     rand_maci,
     rand_monomial,
+    rand_series,
     render_ideal,
     seeded,
     separate_components,
+    series_by_degree,
     series_total,
     standard_monomial_table_by_product,
     standard_monomials,
     times,
     total_dimension,
+    widened_by_schoolbook,
 )
 
 TOGLIATTI = "x1^3, x2^3, x3^3, x1*x2*x3"
@@ -383,6 +388,65 @@ def test_series_normalization_and_arithmetic():
     assert series_total(s) == 4
     assert s.to_text() == "1 + 2t + t^2"
     assert zero.to_text() == "0"
+
+
+NEGATIVE = "^negative coefficient in Hilbert series$"
+
+
+def _outcome(f, *args):
+    """The result of f(*args), or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_series_arithmetic_matches_the_per_degree_references():
+    rng = seeded(23)
+    zero = HilbertSeries(())
+    for _ in range(1500):
+        p, q = rand_series(rng), rand_series(rng)
+        wide = q.shifted(rng.randint(0, 4))
+        # zero operands, a - a, cancellation at the front ((p + q) - p when p
+        # starts first) and at the back ((p + q) - q when q ends last), and an
+        # other that reaches past self on either side
+        pairs = [(p, q), (q, p), (p, zero), (zero, p), (zero, zero), (p, p),
+                 (p + q, p), (p + q, q), (p + wide, wide), (p.shifted(2), p), (p, p.shifted(2))]
+        for a, b in pairs:
+            assert a + b == series_by_degree(a, b, add), (a, b)
+            got, want = _outcome(sub, a, b), _outcome(series_by_degree, a, b, sub)
+            assert got == want, (a, b)
+        for m in range(-1, 7):
+            assert p.widened(m) == widened_by_schoolbook(p, m), (p, m)
+    cases = [
+        (HilbertSeries([1, 2, 3]), HilbertSeries([1]), HilbertSeries([2, 3], 1)),
+        (HilbertSeries([1, 2, 3]), HilbertSeries([0, 0, 3]), HilbertSeries([1, 2])),
+        (HilbertSeries([1, 2, 3], 2), HilbertSeries([1, 2, 3], 2), zero),
+    ]
+    for a, b, want in cases:
+        assert a - b == want
+    one = HilbertSeries([1])
+    for a, b in [(zero, one), (one.shifted(1), HilbertSeries([1, 1])),
+                 (one.shifted(1), HilbertSeries([1, 1], 1)),
+                 (HilbertSeries([1, 2]), HilbertSeries([1, 3]))]:
+        with pytest.raises(ValueError, match=NEGATIVE):
+            a - b
+    with pytest.raises(ValueError, match=NEGATIVE):
+        HilbertSeries([3, -1, 2])
+
+
+def test_widening_is_total_on_zero_series_and_empty_boxes():
+    s = HilbertSeries([1, 2, 1], 3)
+    for m in (0, -1, -4):
+        assert s.widened(m).is_zero() and s.widened(m) == HilbertSeries(())
+    for m in (-1, 0, 1, 5):
+        assert HilbertSeries(()).widened(m) == HilbertSeries(())
+    assert s.widened(1) == s and s.widened(3) == HilbertSeries([1, 3, 4, 3, 1], 3)
+    # a public piece with an empty box widens to nothing, as its product with
+    # the series of an empty box did
+    piece = CsmPiece((2, 3), 0, 0)
+    assert piece.widened_series() == HilbertSeries(())
+    assert piece.as_dict()["widened_series"] == {"offset": 0, "coeffs": []}
 
 
 def test_ci_series():
