@@ -11,13 +11,13 @@ wrong answer.  The pieces of that decomposition are exponent data (a
 MaciSpec or complete-intersection exponents) whose series come from closed
 forms, so no monomial ideal is built on the classification path.  Renaming
 the variables gives an isomorphic quotient whose decomposition is the
-renamed one, so classify_maci certifies each relabeling class once per
-process, on its canonical representative.
+renamed one, so classify_maci decides and certifies symmetry once per
+relabeling class and process, on its canonical spec; a verdict holds its spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from math import comb
@@ -36,8 +36,8 @@ RULE_NOT_APPLICABLE = "not_applicable"
 
 @dataclass(eq=False)  # not frozen: a frozen __init__ costs three times as much
 class ClassificationVerdict:
-    """A rule's verdict and its source: the spec, or for symmetric_hs the
-    witness ordering.  Equal verdicts have equal as_dict()."""
+    """A rule's verdict and its source, the spec it was given; the details
+    are read off the spec.  Equal verdicts have equal as_dict()."""
 
     slp: bool
     rule: str
@@ -47,7 +47,7 @@ class ClassificationVerdict:
     def details(self) -> dict:
         """Built from the source on first read, once per verdict."""
         if self.rule == RULE_SYMMETRIC_HS:
-            return {"witness_order": [k + 1 for k in self.source]}
+            return {"witness_order": [k + 1 for k in symmetric_witness(self.source)]}
         (i, j), a, m = self.source.support, self.source.a, self.source.m
         profile = two_var_profile(a[i], a[j], m[i], m[j])
         a1, a2, alpha, beta = profile.a, profile.b, profile.alpha, profile.beta
@@ -126,29 +126,28 @@ def symmetric_witness(spec):
     return tuple(order)
 
 
-@dataclass(frozen=True)
+@dataclass
 class CsmPiece:
     """A central simple module slice: a quotient in n-1 variables held as
     exponent data, a MaciSpec or complete-intersection exponents, whose
-    series is the matching closed form.  Its generators are built only for
-    display, once per piece.
+    series, the matching closed form, is built with the piece.  Its
+    generators are built only for display, once per piece.
     """
 
     quotient: object  # MaciSpec, or a tuple of complete-intersection exponents
     shift: int
     multiplier: int
+    series: HilbertSeries = field(init=False)
+
+    def __post_init__(self):
+        q = self.quotient
+        self.series = q.series() if isinstance(q, MaciSpec) else ci_series(q)
 
     @property
     def n(self) -> int:
         if isinstance(self.quotient, MaciSpec):
             return self.quotient.n
         return len(self.quotient)
-
-    @cached_property
-    def series(self) -> HilbertSeries:
-        if isinstance(self.quotient, MaciSpec):
-            return self.quotient.series()
-        return ci_series(self.quotient)
 
     @cached_property
     def generators(self) -> tuple:
@@ -178,7 +177,7 @@ class CsmPiece:
         }
 
 
-@dataclass(frozen=True)
+@dataclass
 class CsmDecomposition:
     variable: int  # 0-based index of the variable used as the linear form
     pieces: tuple
@@ -217,9 +216,7 @@ def csm_decomposition(spec, var=None) -> CsmDecomposition:
         var = max(spec.support, key=lambda k: (spec.a[k], k))
     if not 0 <= var < spec.n:
         raise ValueError("variable index out of range")
-    rest = [k for k in range(spec.n) if k != var]
-    trunc = tuple(spec.m[k] for k in rest)
-    a_rest = tuple(spec.a[k] for k in rest)
+    a_rest, trunc = spec.a[:var] + spec.a[var + 1 :], spec.m[:var] + spec.m[var + 1 :]
     if sum(1 for e in trunc if e) >= 2:
         head = MaciSpec(a_rest, trunc)
     else:
@@ -277,33 +274,32 @@ def slp_symmetric(spec) -> bool:
 
 @lru_cache(maxsize=1024)
 def _certify_symmetric_class(key) -> bool:
-    """slp_symmetric on the canonical spec of a relabeling class, the one
-    whose (a_i, m_i) pairs are the sorted key itself.  A failure is not
-    cached, so it raises again for every spec of the class."""
-    return slp_symmetric(MaciSpec(*zip(*key)))
+    """Whether a relabeling class has a symmetric series, decided and then
+    certified by slp_symmetric on its canonical spec, the one whose
+    (a_i, m_i) pairs are the sorted key itself.  A failure is not cached,
+    so it raises again for every spec of the class."""
+    spec = MaciSpec(*zip(*key))
+    return symmetric_witness(spec) is not None and slp_symmetric(spec)
 
 
 def classify_maci(spec):
     """Dispatch to whichever classification rule covers the input, or None.
 
-    A symmetric spec is certified by slp_symmetric on the canonical spec of
-    its relabeling class, once per class and process.  That is sound because
-    renaming the variables gives an isomorphic quotient with the same
-    series, whose central-simple-module decomposition is the renamed
-    decomposition, so every proof obligation holds on one spec of a class
-    exactly when it holds on all of them.  The verdict holds the witness
-    ordering of the labeled spec, and builds its details from it on first read.
+    Symmetry is decided, and a symmetric spec certified by slp_symmetric,
+    on the canonical spec of its relabeling class, once per class and
+    process.  That is sound because renaming the variables gives an
+    isomorphic quotient with the same series, whose central-simple-module
+    decomposition is the renamed decomposition, so every proof obligation
+    holds on one spec of a class exactly when it holds on all of them.  The
+    verdict holds the labeled spec, whose witness ordering its details read.
     """
     if len(spec.support) == 2:
         return classify_support_two(spec)
-    witness = symmetric_witness(spec)
-    if witness is None:
-        return None
     try:
-        _certify_symmetric_class(spec.relabeling_class())
+        symmetric = _certify_symmetric_class(spec.relabeling_class())
     except HypothesisViolation as exc:
         raise HypothesisViolation(f"certifying the class of {spec}: {exc}") from exc
-    return ClassificationVerdict(True, RULE_SYMMETRIC_HS, witness)
+    return ClassificationVerdict(True, RULE_SYMMETRIC_HS, spec) if symmetric else None
 
 
 def support_two_grid(n_values, max_exp, extra_exp=None):
@@ -364,6 +360,8 @@ def symmetric_grid(n_values, max_socle, max_exp=None):
     for n in n_values:
         for size in range(2, n + 1):
             chains = _support_chains(size, cap, max_socle)
+            if not chains:  # dropping a chain's top lowers its socle degree, so none is longer
+                break
             free = {}  # socle budget -> the non-support exponent tuples within it
             for supp in combinations(range(n), size):
                 nonsupp = [k for k in range(n) if k not in supp]

@@ -344,6 +344,22 @@ def test_grid_from_json():
     assert all(s.a[2] == 2 for s in grid)
 
 
+def test_symmetric_grid_with_no_support_chain_is_empty_at_once(monkeypatch):
+    # with max_socle 1 no support chain exists, so no support subset is walked
+    import lefschetz.classify as classify_mod
+
+    real = classify_mod.combinations
+
+    def counting(*args):
+        for count, item in enumerate(real(*args)):
+            if count >= 10_000:
+                raise AssertionError("support subsets walked for an empty grid")
+            yield item
+
+    monkeypatch.setattr(classify_mod, "combinations", counting)
+    assert grid_from_json({"family": "symmetric", "n": [2, 10_000], "max_socle": 1}) == []
+
+
 def test_grid_size_bound_covers_the_grid():
     from lefschetz.classify import _grid_size_bound
 
@@ -603,6 +619,29 @@ def test_classify_maci_certifies_each_symmetric_class_once(monkeypatch):
     verdicts = [classify_maci(other) for other in _relabelings(spec)]
     assert len(verdicts) == 24 and all(v.rule == "symmetric_hs" for v in verdicts)
     assert certified == [MaciSpec((1, 2, 3, 4), (0, 1, 1, 1))]
+
+
+def test_classify_maci_decides_symmetry_once_per_class(monkeypatch):
+    # symmetry is decided on the canonical spec of a class, not per labeled
+    # spec; the verdict holds the labeled spec and the CSM pieces hold series
+    import lefschetz.classify as classify_mod
+
+    classify_mod._certify_symmetric_class.cache_clear()
+    calls = []
+    real = classify_mod.symmetric_witness
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(classify_mod, "symmetric_witness", counting)
+    grid = [spec for spec in symmetric_grid([2, 3, 4], 6) if len(spec.support) != 2]
+    verdicts = [classify_maci(spec) for spec in grid]
+    classes = {spec.relabeling_class() for spec in grid}
+    assert len(calls) <= 2 * len(classes) and len(calls) < len(grid)
+    assert all(v.rule == "symmetric_hs" and v.source is spec for v, spec in zip(verdicts, grid))
+    piece = csm_decomposition(grid[0]).pieces[0]
+    assert "series" in vars(piece) and not classify_mod.CsmPiece.__dataclass_params__.frozen
 
 
 def test_tampered_class_raises_for_every_labeled_spec(monkeypatch):
