@@ -468,8 +468,8 @@ def _grid_size_bound(family, ns, max_exp, max_socle, extra_exp):
             specs = (max_exp * (max_exp - 1) // 2) ** 2 * free ** (n - 2)
         else:
             cap = max_socle + 2 if max_exp is None else min(max_exp, max_socle + 2)
-            choices = min(comb(max_socle - 1 + n, n + 1), cap * (cap - 1) // 2 * cap ** (n - 1))
-            specs = n * (2 ** (n - 1) - 1) * choices
+            choices = comb(max_socle - 1 + n, n + 1)  # when 0, skip the big powers
+            specs = choices and n * (2 ** (n - 1) - 1) * min(choices, cap * (cap - 1) // 2 * cap ** (n - 1))
         size += n * specs
         if size > MAX_TABLE_ENTRIES:
             break

@@ -29,10 +29,12 @@ MAX_EXPONENT = 2**63 - 1  # exponents stay machine-width; coefficients do not
 MAX_VAR_INDEX = 10_000
 # Work budget: the most entries a table may hold, checked before a basis
 # (n prod a_j exponents) is enumerated, before the oracle's power table
-# (prod (2 a_j - 1) Python ints) is allocated and before a chain of Hilbert
-# series is multiplied out (its exact multiply-adds, in series._product).
-# A power table of 359,375 entries takes about 1 s and 7 MB to build on a
-# 2 GHz Xeon core; pure powers a = (7, 8, 9, 10) need 62,985.
+# (prod (2 a_j - 1) int64 residues, and as many Python ints for a report
+# with a cell below full rank mod p) is allocated and before a chain of
+# Hilbert series is multiplied out (its exact multiply-adds, in
+# series._product).  A power table of 759,375 entries, a = (8, 8, 8, 8, 8),
+# takes about 4 ms and 6 MB as residues and 0.07 s and 7 MB as Python ints
+# on a 2 GHz Xeon core; pure powers a = (7, 8, 9, 10) need 62,985.
 MAX_TABLE_ENTRIES = 1_000_000
 DIGITS = "0123456789"  # str.isdigit also admits non-ASCII digits
 

@@ -6,17 +6,18 @@ coefficients nonzero into this one while permuting nothing, so the ranks of
 the maps  l^t : A_i -> A_{i+t}  do not depend on the (nonzero) coefficients,
 and this one form decides the weak and strong Lefschetz properties.
 
-Every matrix entry is read from one exact table: the coefficient of x^d in
+Every matrix entry is read from one table: the coefficient of x^d in
 l^|d|, for every exponent difference d that two standard monomials can
 have (see ``_power_table``); the report's Hilbert series is counted from
 the same basis, int64 exponent arrays over the factor's variables,
-enumerated once the table's budget is checked.  The table is reduced
-modulo a prime below 2^26 once per report, and ``_certified_rank``
-eliminates each ranked cell once modulo the prime, in its narrower
-orientation (the cell or its transpose, whichever has fewer columns).
-Each pivot's rank-one update touches only the rows with a nonzero in the
-pivot column, and as a product of two residues stays below 2^52, about
-2^11 updates go unreduced before the trailing block must be reduced.
+enumerated once the table's budget is checked.  A report builds the table
+directly as int64 residues modulo a prime below 2^26, and
+``_certified_rank`` eliminates each ranked cell once modulo the prime, in
+its narrower orientation (the cell or its transpose, whichever has fewer
+columns).  Each pivot's rank-one update is subtracted in place from the
+slab of rows between the first and the last one below with a nonzero in
+the pivot column, and as a product of two residues stays below 2^52,
+about 2^11 updates go unreduced before the trailing block must be reduced.
 That can only underestimate the rank over Q, so whenever it reports
 min(dim) the map is proven to have full rank.  Below that, the rank r mod
 p is still a proven lower bound, and the matching upper bound comes from
@@ -25,9 +26,11 @@ each checked exactly as M v = 0 over Z.  The vectors are read off the same
 echelon form and lifted by Chinese remaindering over a few primes and
 rational reconstruction (Wang, Guy and Davenport 1982), a certificate in
 the sense of Kaltofen, Nehring and Saunders (ISSAC 2011); see
-``_kernel_certifies``.  Only a cell whose kernel vectors do not verify is
-ranked again from the table's exact entries by fraction-free (Bareiss)
-elimination.  Floating point is never used.
+``_kernel_certifies``.  Only those cells read exact entries, so the table of
+Python ints is built once per report, for its first cell below full rank
+mod p, and never when every ranked cell has full rank.  Only a cell whose
+kernel vectors do not verify is ranked again from those exact entries by
+fraction-free (Bareiss) elimination.  Floating point is never used.
 
 Most cells are never ranked, because three facts that hold for every
 standard graded Artinian algebra and every linear form imply their full
@@ -62,20 +65,22 @@ rank table has a ``certificate``, and its ``MapRecord`` is built on demand:
   with l = u + v, strong Lefschetz in characteristic zero (Stanley 1980;
   Watanabe 1987), so it splits into [s + s' + k, e + e' - k], k < min(L, M):
   the Clebsch-Gordan rule (Iarrobino, Marques and McDaniel, J. Commut. Algebra
-  2022).  The series of several factors is read off the same strings, not multiplied.
+  2022).  The free variables are one factor, a complete intersection with the
+  SLP, whose strings are read off its series.  The series of several
+  factors is read off the same strings, not multiplied.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
-from math import factorial, isqrt, lcm
+from functools import cache, lru_cache, partial
+from math import isqrt, lcm, prod
 
 import numpy as np
 
 from .core import MonomialIdeal, check_table_size, restrict, standard_monomial_table, tensor_factors
-from .series import HilbertSeries, maci_from_ideal
+from .series import HilbertSeries, ci_series, maci_from_ideal
 
 _PRIME = 67_108_859  # the largest prime below 2^26; see _REDUCE_EVERY
 # the largest primes below 2^26, for Chinese remaindering of kernel vectors;
@@ -104,40 +109,60 @@ class HypothesisViolation(RuntimeError):
     """
 
 
-def _power_table(ideal):
+def _multinomials(bounds, p=None):
+    """Flat table of the multinomials |d|! / prod(d_j!) over the box of differences.
+
+    The box has d_j in [-(a_j - 1), a_j - 1] for the bounds a_j, flattened in
+    C order, and holds 0 where some d_j < 0.  Entries are Python ints, or
+    int64 residues mod p when ``p`` is given.  The multinomial is the
+    product over j of C(d_1 + ... + d_j, d_j), and each C(s + k, k) is the
+    running sum over k' <= k of C(s - 1 + k', k') (Pascal's rule), so the
+    table is built from additions and products alone and holds for every
+    prime, including those below some d_j.
+    """
+    dtype = object if p is None else np.int64
+    orthant = np.ones((), dtype=dtype)
+    degree = np.zeros((), dtype=np.int64)  # d_1 + ... + d_j over the orthant so far
+    for j, a in enumerate(bounds):
+        binomials = np.ones((sum(bounds[:j]) - j + 1, a), dtype=dtype)  # C(s + k, k) at [s, k]
+        for s in range(1, len(binomials)):
+            binomials[s] = np.cumsum(binomials[s - 1])
+            if p is not None:
+                binomials[s] %= p
+        orthant = orthant[..., None] * binomials[degree]
+        if p is not None:
+            orthant %= p
+        degree = np.add.outer(degree, np.arange(a))
+    table = np.zeros([2 * a - 1 for a in bounds], dtype=dtype)
+    table[tuple(slice(a - 1, None) for a in bounds)] = orthant
+    return table.ravel()
+
+
+def _power_table(ideal, p=None):
     """Keys of the standard monomials and the table of coefficients of powers of l.
 
     Entry (u, v) of the matrix of l^t is the coefficient of x^(u - v) in
     l^|u - v|, so it depends only on d = u - v, and d_j lies in
     [-(a_j - 1), a_j - 1] where x_j^(a_j) is the pure power of the ideal.
-    The table covers that whole box, flattened in C order: it holds
-    the multinomial |d|! / prod(d_j!) as a Python int where d >= 0 and 0
-    elsewhere.  Each degree-i standard monomial u gets the mixed-radix key
-    sum(u_j * w_j) with the strides w_j of the box, so the entry for (u, v)
-    sits at ``center + key(u) - key(v)``.  Every variable of the Artinian
-    ideal gets an axis, so the oracle passes it a tensor factor.
+    The table is ``_multinomials`` over that whole box: Python ints, or
+    int64 residues mod ``p`` when it is given.  Each degree-i standard
+    monomial u gets the mixed-radix key sum(u_j * w_j) with the C-order
+    strides w_j of the box, so the entry for (u, v) sits at
+    ``center + key(u) - key(v)``.  Every variable of the Artinian ideal gets
+    an axis, so the oracle passes it a tensor factor.
 
-    Returns (keys by degree as int64 arrays, flat object table, center).
+    Returns (keys by degree as int64 arrays, flat table, center).
     A box of more than MAX_TABLE_ENTRIES entries is a ValueError.
     """
     if ideal.is_unit():  # no monomials and no entries
-        return (), np.zeros(0, dtype=object), 0
-    check_table_size([2 * a - 1 for a in ideal.bounds])
+        return (), np.zeros(0, dtype=object if p is None else np.int64), 0
+    box = [2 * a - 1 for a in ideal.bounds]
+    check_table_size(box)
     basis = standard_monomial_table(ideal)
-    fact = [factorial(k) for k in range(sum(ideal.bounds) - ideal.n + 1)]
-    degree = np.zeros((), dtype=np.int64)
-    denom = np.ones((), dtype=object)
-    for a in ideal.bounds:
-        degree = np.add.outer(degree, np.arange(a))
-        denom = np.multiply.outer(denom, np.array(fact[:a], dtype=object))
-    table = np.zeros([2 * a - 1 for a in ideal.bounds], dtype=object)
-    table[tuple(slice(a - 1, None) for a in ideal.bounds)] = (
-        np.array(fact, dtype=object)[degree] // denom
-    )
-    strides = np.array(table.strides, dtype=np.int64) // table.itemsize
+    strides = np.array([prod(box[j + 1 :]) for j in range(len(box))], dtype=np.int64)
     center = int(strides @ (np.array(ideal.bounds, dtype=np.int64) - 1))
     keys = [bucket @ strides for bucket in basis]
-    return keys, table.ravel(), center
+    return keys, _multinomials(ideal.bounds, p), center
 
 
 def multiplication_matrix(ideal, i, t):
@@ -199,27 +224,35 @@ def _echelon_mod_prime(matrix, p):
     scaled to 1 and the rows are reduced mod p.  Reduction is delayed (Dumas,
     Giorgi and Pernet, ACM TOMS 2008): each step reduces the pivot column, to
     find the pivot, and the pivot row, to scale it in place, and subtracts
-    their outer product, unreduced, from only the rows below with a nonzero
-    in the pivot column.  An update lowers an entry by at most (p - 1)^2, so
-    the block is reduced every ``_REDUCE_EVERY`` pivots, before int64 could
-    wrap.  Entries left of the pivot column are exactly 0 below it.
+    their outer product, unreduced and in place, from the contiguous slab of
+    rows from the first to the last one below with a nonzero in the pivot
+    column; a row in between loses exactly 0.  An update lowers an entry by
+    at most (p - 1)^2, so the block is reduced every ``_REDUCE_EVERY``
+    pivots, before int64 could wrap.  Entries left of the pivot column are
+    exactly 0 below it, and the loop ends once every row holds a pivot.
     """
     A = matrix.copy()
+    product = np.empty(A.size, dtype=A.dtype)  # every step's outer product, in one buffer
     pivots = []
-    for col in range(A.shape[1]):  # once every row holds a pivot, later columns see empty slices
+    for col in range(A.shape[1]):
         rank = len(pivots)
+        if rank == A.shape[0]:
+            break
         A[rank:, col] %= p
-        nz = rank + np.flatnonzero(A[rank:, col])
+        nz = A[rank:, col].nonzero()[0]
         if nz.size == 0:
             continue
-        if nz[0] != rank:  # the old row rank has a 0 here, and moves out of nz
-            A[[rank, nz[0]]] = A[[nz[0], rank]]
+        if nz[0]:  # the old row rank has a 0 here, and moves to rank + nz[0], out of the slab
+            A[[rank, rank + nz[0]]] = A[[rank + nz[0], rank]]
         row = A[rank, col:]
         row %= p
         row *= pow(int(row[0]), -1, p)
         row %= p
         if nz.size > 1:
-            A[nz[1:], col:] -= A[nz[1:], col, None] * row
+            slab = A[rank + nz[1] : rank + nz[-1] + 1, col:]
+            update = product[: slab.size].reshape(slab.shape)
+            np.multiply(slab[:, :1], row, out=update)
+            slab -= update
         pivots.append(col)
         if len(pivots) % _REDUCE_EVERY == 0:
             A[rank + 1 :, col + 1 :] %= p
@@ -312,13 +345,14 @@ def _kernel_certifies(matrix, pivots, echelon) -> bool:
     return False
 
 
-def _certified_rank(cell, residues, table, i, t):
+def _certified_rank(cell, residues, exact, i, t):
     """Rank over Q of the cell of l^t on degree i, and its certificate.
 
-    ``cell`` indexes the cell in the flat exact ``table`` and in its
-    ``residues`` mod ``_PRIME``.  The cell is eliminated once mod ``_PRIME``,
-    in the orientation with no more columns than rows, whose kernel the
-    certificate reads; below full rank, that echelon form seeds
+    ``cell`` indexes the cell in the flat int64 table ``residues`` mod
+    ``_PRIME`` and in the flat exact table that ``exact()`` returns, which
+    is read only below full rank.  The cell is eliminated once mod
+    ``_PRIME``, in the orientation with no more columns than rows, whose
+    kernel the certificate reads; below full rank, that echelon form seeds
     ``_kernel_certifies``, and Bareiss is the last resort.
     """
     if cell.shape[1] > cell.shape[0]:
@@ -327,15 +361,15 @@ def _certified_rank(cell, residues, table, i, t):
     rank = len(pivots)
     if rank == cell.shape[1]:
         return rank, CERT_MOD_P
-    entries = table[cell]
+    entries = exact()[cell]
     if _kernel_certifies(entries, pivots, echelon):
         return rank, CERT_KERNEL
-    exact = matrix_rank(entries.tolist())  # the last resort
-    if exact < rank:
+    exact_rank = matrix_rank(entries.tolist())  # the last resort
+    if exact_rank < rank:
         raise HypothesisViolation(
-            f"exact rank {exact} of l^{t} on degree {i} is below its rank mod p, {rank}"
+            f"exact rank {exact_rank} of l^{t} on degree {i} is below its rank mod p, {rank}"
         )
-    return exact, CERT_EXACT
+    return exact_rank, CERT_EXACT
 
 
 @dataclass
@@ -436,10 +470,10 @@ def _scheduled_ranks(ideal):
     already proven (see the module docstring) is entered without being
     ranked, with the proven cell as its ``implied_by``.
     """
-    keys, table, center = _power_table(ideal)
+    keys, residues, center = _power_table(ideal, _PRIME)
+    exact = cache(partial(_multinomials, ideal.bounds))  # built for the first deficient cell
     h = [len(bucket) for bucket in keys]
     ranks = np.diag(np.array(h, dtype=object))
-    residues = (table % _PRIME).astype(np.int64)
 
     injective = {}  # source degree -> a proven cell (i, t) injective on it
     surjective = (len(h), None)  # least i + t of a proven surjective cell, and that cell
@@ -453,7 +487,7 @@ def _scheduled_ranks(ideal):
                 rank, proofs[i, t] = dim_tgt, (CERT_IMPLIED, surjective[1])
             else:
                 cell = center + keys[i + t][:, None] - keys[i]
-                rank, certificate = _certified_rank(cell, residues, table, i, t)
+                rank, certificate = _certified_rank(cell, residues, exact, i, t)
                 proofs[i, t] = (certificate, None)
             ranks[i, i + t] = rank
             # a full-rank square cell is bijective and proves both directions
@@ -477,12 +511,22 @@ def _component(group):
     return report, strings
 
 
+def _free_strings(exponents):
+    """Strings ((s, e), count) of the complete intersection of the free variables'
+    exponents: it has the SLP (Stanley 1980), so with socle degree D and
+    Hilbert function h its strings are [i, D - i], h_i - h_(i-1) of them for
+    i <= D / 2, read off ``ci_series``."""
+    h = (0,) + ci_series(exponents).coeffs
+    top = len(h) - 2
+    return tuple(((i, top - i), h[i + 1] - h[i]) for i in range(top // 2 + 1) if h[i + 1] > h[i])
+
+
 def lefschetz_report(ideal) -> LefschetzReport:
     """Exact rank table of every map l^t : A_i -> A_{i+t}, i + t <= socle.
 
-    With several factors, each linked group is ranked once per process, a
-    free x_j is the string [0, a_j - 1], strings combine by the Clebsch-Gordan
-    rule, and the rank of l^t on A_i (h_i when t = 0) counts the strings with
+    With several factors, each linked group is ranked once per process, the
+    free variables are one complete intersection (``_free_strings``), strings
+    combine by the Clebsch-Gordan rule, and the rank of l^t on A_i (h_i when t = 0) counts the strings with
     s <= i and e >= i + t.  The budget counts each group's power table and the
     (D + 1)^2 ranks of socle degree D, all before any group is ranked.
     """
@@ -498,9 +542,8 @@ def lefschetz_report(ideal) -> LefschetzReport:
             check_table_size([2 * a - 1 for a in f.bounds])
             socle += maci_from_ideal(f).socle_degree() if len(f.cross) == 1 else len(standard_monomial_table(f)) - 1
     check_table_size((socle + 1, socle + 1))
-    factors = [(((0, f - 1), 1),) if isinstance(f, int) else _component(f)[1] for _, f in components]
-    strings = {(0, 0): 1}
-    for factor in factors:
+    strings = dict(_free_strings([f for _, f in components if isinstance(f, int)]))
+    for factor in (_component(f)[1] for _, f in components if not isinstance(f, int)):
         product = Counter()
         for (s, e), c in strings.items():
             for (s2, e2), c2 in factor:

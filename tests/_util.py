@@ -390,6 +390,22 @@ def lefschetz_report_all_cells(ideal):
     )
 
 
+def free_strings_one_at_a_time(exponents):
+    """Reference strings ((s, e), count) of k[x]/(x_j^(a_j)): each free
+    variable is the string [0, a_j - 1], multiplied in one at a time by the
+    Clebsch-Gordan rule, [s, e] times [s', e'] giving [s + s' + k, e + e' - k]
+    for k <= min(e - s, e' - s').  Sorted by (s, e)."""
+    strings = {(0, 0): 1}
+    for a in exponents:
+        product = {}
+        for (s, e), c in strings.items():
+            for k in range(min(e - s, a - 1) + 1):
+                key = (s + k, e + a - 1 - k)
+                product[key] = product.get(key, 0) + c
+        strings = product
+    return sorted(strings.items())
+
+
 def jordan_type(report):
     """The lengths of the strings of l on A, longest first, read off the
     report's rank table by second differences: count(s, e) = r(s, e) -

@@ -360,6 +360,15 @@ def test_symmetric_grid_with_no_support_chain_is_empty_at_once(monkeypatch):
     assert grid_from_json({"family": "symmetric", "n": [2, 10_000], "max_socle": 1}) == []
 
 
+def test_grid_size_bound_of_a_grid_with_no_support_chain_is_zero():
+    from lefschetz.classify import _grid_size_bound
+
+    # with max_socle 1 no spec exists at any n, so the bound is 0 and the
+    # powers 2^(n-1) and cap^(n-1) up to n = 10,000 are never needed
+    assert _grid_size_bound("symmetric", range(2, 10_001), None, 1, None) == 0
+    assert _grid_size_bound("symmetric", range(2, 10_001), 5, 1, None) == 0
+
+
 def test_grid_size_bound_covers_the_grid():
     from lefschetz.classify import _grid_size_bound
 

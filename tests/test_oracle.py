@@ -4,7 +4,7 @@ import json
 import time
 from collections import Counter
 from functools import lru_cache
-from math import isqrt
+from math import factorial, isqrt, prod
 
 import numpy as np
 import pytest
@@ -35,12 +35,14 @@ from lefschetz.oracle import (
     _REDUCE_EVERY,
     _certified_rank,
     _echelon_mod_prime,
+    _free_strings,
     _power_table,
 )
 from _util import (
     contains,
     echelon_mod_prime_by_ints,
     echelon_mod_prime_stepwise,
+    free_strings_one_at_a_time,
     jordan_type,
     lefschetz_report_all_cells,
     map_at,
@@ -431,7 +433,7 @@ def _certify(matrix):
     table = np.array(matrix, dtype=object)
     cell = np.arange(table.size).reshape(table.shape)
     table = table.ravel()
-    return _certified_rank(cell, (table % _PRIME).astype(np.int64), table, 0, 1)
+    return _certified_rank(cell, (table % _PRIME).astype(np.int64), lambda: table, 0, 1)
 
 
 def test_kernel_certificate_gives_up_rather_than_understate():
@@ -558,6 +560,70 @@ def test_echelon_mod_prime_equals_the_stepwise_reference(monkeypatch, reduce_eve
     assert len(kinds) == 8
 
 
+def _exact_table_by_factorials(bounds):
+    """The flat multinomial table over the box of differences, from factorials."""
+    box = [2 * a - 1 for a in bounds]
+    table = []
+    for index in np.ndindex(*box):
+        d = [k - (a - 1) for k, a in zip(index, bounds)]
+        table.append(0 if min(d) < 0 else factorial(sum(d)) // prod(map(factorial, d)))
+    return table
+
+
+def test_residue_table_equals_the_exact_table_mod_p():
+    # built directly in int64 by Pascal's rule, also for primes below the
+    # exponents, where factorials vanish mod p; keys and center are shared
+    rng = seeded(257)
+    ideals = [rand_artinian_ideal(rng, rng.randint(1, 4), 6) for _ in range(12)]
+    ideals += [rand_maci(rng, rng.randint(2, 4)).ideal() for _ in range(12)]
+    ideals += [MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal(), TOGLIATTI]
+    for ideal in ideals:
+        keys, exact, center = _power_table(ideal)
+        if ideal.is_unit():
+            continue
+        assert exact.tolist() == _exact_table_by_factorials(ideal.bounds)
+        for p in _PRIMES + (2, 3, 5, 7):
+            got_keys, residues, got_center = _power_table(ideal, p)
+            assert residues.dtype == np.int64 and got_center == center
+            assert [k.tolist() for k in got_keys] == [k.tolist() for k in keys]
+            assert residues.tolist() == (exact % p).tolist(), (ideal, p)
+
+
+def _exact_tables_built(monkeypatch, forbid=False):
+    """Patch the table builder to record each exact table it builds, or to
+    raise on one; residue tables are built as before."""
+    built = []
+    multinomials = lefschetz.oracle._multinomials
+
+    def recorded(bounds, p=None):
+        if p is None:
+            if forbid:
+                raise AssertionError(f"an exact table was built for bounds {bounds}")
+            built.append(tuple(bounds))
+        return multinomials(bounds, p)
+
+    monkeypatch.setattr(lefschetz.oracle, "_multinomials", recorded)
+    return built
+
+
+def test_full_rank_reports_build_no_exact_table(monkeypatch, fresh_components):
+    # every ranked cell has full rank mod p, so no exact entry is read
+    _exact_tables_built(monkeypatch, forbid=True)
+    for a in [(2, 3, 4, 5), (3, 4, 5, 6)]:
+        report = lefschetz_report(MaciSpec(a, (1, 1, 1, 1)).ideal())
+        assert report.slp and "mod_p" in {rec.certificate for rec in report.maps}
+    rows = survey_rows(symmetric_grid([2, 3], 6))
+    assert rows and all(row.slp for row in rows)
+
+
+def test_deficient_report_builds_the_exact_table_once(monkeypatch, fresh_components):
+    built = _exact_tables_built(monkeypatch)
+    report = lefschetz_report(MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal())
+    kernel = [rec for rec in report.maps if rec.certificate == "kernel"]
+    assert len(kernel) > 1
+    assert built == [(6, 6, 6, 6)]
+
+
 def test_power_table_over_the_work_budget_is_refused():
     # 2^13 - 1 standard monomials, but a power table of 3^13 entries; the
     # cross generator x1 x2 ... x13 links every variable into one factor
@@ -649,6 +715,27 @@ def test_wide_tensor_spec_is_answered():
     components = report.as_dict()["components"]
     assert [c["variables"] for c in components] == [[1, 2, 3]] + [[j] for j in range(4, 34)]
     assert [c["exponent"] for c in components[1:]] == [2] * 30
+
+
+def test_free_strings_match_the_one_at_a_time_product():
+    # the free variables' complete intersection has the SLP, so its strings
+    # are read off its series; the reference multiplies them in one by one
+    rng = seeded(251)
+    cases = [(), (1,), (1, 1, 3), (2,) * 900, (7, 2, 9, 1, 4)]
+    cases += [tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 8))) for _ in range(200)]
+    for exponents in cases:
+        assert sorted(_free_strings(exponents)) == free_strings_one_at_a_time(exponents), exponents
+
+
+def test_free_variables_up_to_the_socle_budget_are_answered():
+    # a=(2,3,4)+(2,)*N has socle degree N + 5; (N + 6)^2 ranks are within the
+    # budget up to N = 994, and the free variables' series must be too
+    lefschetz.oracle._component.cache_clear()
+    for free in (900, 994):
+        report = lefschetz_report(MaciSpec((2, 3, 4) + (2,) * free, (1, 1, 1) + (0,) * free).ideal())
+        assert report.slp and report.ranks.shape == (free + 6, free + 6)
+    with pytest.raises(ValueError, match="a table of 1002001 entries exceeds the budget"):
+        lefschetz_report(MaciSpec((2, 3, 4) + (2,) * 995, (1, 1, 1) + (0,) * 995).ideal())
 
 
 def test_report_socle_21_symmetric_spec_has_slp():
