@@ -12,9 +12,9 @@ pass: the least pure power per variable is kept without a pairwise test, a
 cross generator is dropped when one comparison g_j >= a_j finds a kept
 bound dividing it, and only cross generators are compared pairwise.
 
-It also splits R/I into tensor factors (``tensor_factors``), the groups of
-variables that cross generators link, so that the Hilbert series and the
-Lefschetz report both work factor by factor from one split.
+It also decides, in ``tensor_factors`` alone, how R/I splits into tensor
+factors; the Hilbert series, the Lefschetz report and its matrices all
+read that one plan.
 """
 
 from __future__ import annotations
@@ -289,19 +289,21 @@ def restrict(ideal, variables):
 
 
 def tensor_factors(ideal):
-    """Groups of the variables with a_j >= 2 that cross generators link, by
-    least variable, or x1 alone for the field or the unit ideal (no bounds).
+    """The factor plan of R/I: (variables, factor) pairs by least variable.
 
-    R/I is the tensor product of R/``restrict``(I, group) over the groups,
-    since no cross generator uses an x_j with a_j = 1; a group of one
-    variable is free, k[x_j]/(x_j^(a_j)).
+    Cross generators link the variables with a_j >= 2 into groups; none uses
+    an x_j with a_j = 1, which is zero in R/I.  R/I is the tensor product of
+    the factors: a free variable's is its a_j, for k[x_j]/(x_j^(a_j)), and a
+    linked group's is ``restrict``(I, group).  The field and the unit ideal
+    are x1 alone, with its restricted ideal.
     """
     check_artinian(ideal)
     group = {j: (j,) for j, a in enumerate(ideal.bounds) if (a or 0) > 1}
     for g in ideal.cross:
         merged = tuple(sorted({k for j in g.support for k in group[j]}))
         group.update((k, merged) for k in merged)
-    return sorted(set(group.values())) or [(0,)]
+    parts = sorted(set(group.values())) or [(0,)]
+    return tuple((p, ideal.bounds[p[0]] if len(p) == 1 and group else restrict(ideal, p)) for p in parts)
 
 
 def standard_monomial_table(ideal):

@@ -60,14 +60,14 @@ rank table has a ``certificate``, and its ``MapRecord`` is built on demand:
 * "kernel": rank mod p, matched by verified integer kernel vectors;
 * "exact": rank from the Bareiss fallback;
 * "implied": full rank implied by the proven cell in ``implied_by``;
-* "tensor": rank on several factors (``core.tensor_factors``), from their Jordan
-  strings: [s, e] times [s', e'], of lengths L and M, is k[u, v]/(u^L, v^M)
-  with l = u + v, strong Lefschetz in characteristic zero (Stanley 1980;
-  Watanabe 1987), so it splits into [s + s' + k, e + e' - k], k < min(L, M):
-  the Clebsch-Gordan rule (Iarrobino, Marques and McDaniel, J. Commut. Algebra
-  2022).  The free variables are one factor, a complete intersection with the
-  SLP, whose strings are read off its series.  The series of several
-  factors is read off the same strings, not multiplied.
+* "tensor": rank on the factors of the plan (``core.tensor_factors``), from
+  their Jordan strings: [s, e] times [s', e'], of lengths L and M, is
+  k[u, v]/(u^L, v^M) with l = u + v, strong Lefschetz in characteristic zero
+  (Stanley 1980; Watanabe 1987), so it splits into [s + s' + k, e + e' - k],
+  k < min(L, M): the Clebsch-Gordan rule (Iarrobino, Marques and McDaniel,
+  J. Commut. Algebra 2022).  The free variables are one complete
+  intersection with the SLP, whose strings are read off its series.  The
+  series of several factors is read off the same strings, not multiplied.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from math import isqrt, lcm, prod
 import numpy as np
 
 from .core import MonomialIdeal, check_table_size, restrict, standard_monomial_table, tensor_factors
-from .series import HilbertSeries, ci_series, maci_from_ideal
+from .series import HilbertSeries, ci_series, factor_series
 
 _PRIME = 67_108_859  # the largest prime below 2^26; see _REDUCE_EVERY
 # the largest primes below 2^26, for Chinese remaindering of kernel vectors;
@@ -179,7 +179,8 @@ def multiplication_matrix(ideal, i, t):
         raise ValueError("the power t must be >= 1")
     if i < 0:
         raise ValueError("the source degree must be >= 0")
-    keys, table, center = _power_table(restrict(ideal, sorted(sum(tensor_factors(ideal), ()))))
+    variables = sorted(j for part, _ in tensor_factors(ideal) for j in part)
+    keys, table, center = _power_table(restrict(ideal, variables))
     empty = np.zeros(0, dtype=np.int64)
     src = keys[i] if i < len(keys) else empty
     tgt = keys[i + t] if i + t < len(keys) else empty
@@ -415,7 +416,7 @@ class LefschetzReport:
     ideal: MonomialIdeal
     ranks: np.ndarray
     proofs: dict
-    components: tuple = ()  # with several factors: (variables, a_j or ideal) of each
+    components: tuple = ()  # with several factors, core.tensor_factors' plan
     series: HilbertSeries = field(init=False)
     wlp: bool = field(init=False)
     slp: bool = field(init=False)
@@ -450,12 +451,8 @@ class LefschetzReport:
             "maps": [rec.as_dict() for rec in self.maps],
         }
         for part, f in self.components:
-            entry = {"variables": [j + 1 for j in part]}
-            if isinstance(f, int):
-                entry["exponent"] = f
-            else:
-                entry["report"] = _component(f)[0].as_dict()
-            report.setdefault("components", []).append(entry)
+            factor = {"exponent": f} if isinstance(f, int) else {"report": _component(f)[0].as_dict()}
+            report.setdefault("components", []).append({"variables": [j + 1 for j in part], **factor})
         return report
 
 
@@ -524,26 +521,25 @@ def _free_strings(exponents):
 def lefschetz_report(ideal) -> LefschetzReport:
     """Exact rank table of every map l^t : A_i -> A_{i+t}, i + t <= socle.
 
-    With several factors, each linked group is ranked once per process, the
-    free variables are one complete intersection (``_free_strings``), strings
-    combine by the Clebsch-Gordan rule, and the rank of l^t on A_i (h_i when t = 0) counts the strings with
-    s <= i and e >= i + t.  The budget counts each group's power table and the
-    (D + 1)^2 ranks of socle degree D, all before any group is ranked.
+    With several factors in ``core.tensor_factors``' plan, each linked group
+    is ranked once per process, the free variables are one complete
+    intersection (``_free_strings``), strings combine by the Clebsch-Gordan
+    rule, and the rank of l^t on A_i (h_i when t = 0) counts the strings
+    with s <= i and e >= i + t.  The budget counts each group's power table,
+    then the (D + 1)^2 ranks of the socle degree D read off the factors'
+    series, all before any group is ranked.
     """
-    parts = tensor_factors(ideal)
-    if len(parts) < 2:
-        return LefschetzReport(ideal, *_scheduled_ranks(restrict(ideal, parts[0])))
-    components = [(p, ideal.bounds[p[0]] if len(p) == 1 else restrict(ideal, p)) for p in parts]
-    socle = 0
-    for _, f in components:  # every factor's socle degree, before any cell is ranked
-        if isinstance(f, int):
-            socle += f - 1
-        else:  # a group's power table is checked first, as _power_table will
-            check_table_size([2 * a - 1 for a in f.bounds])
-            socle += maci_from_ideal(f).socle_degree() if len(f.cross) == 1 else len(standard_monomial_table(f)) - 1
+    components = tensor_factors(ideal)
+    if len(components) < 2:
+        return LefschetzReport(ideal, *_scheduled_ranks(restrict(ideal, components[0][0])))
+    free = [f for _, f in components if isinstance(f, int)]
+    groups = [f for _, f in components if not isinstance(f, int)]
+    for group in groups:  # as _power_table will; a group within it has its series within budget
+        check_table_size([2 * a - 1 for a in group.bounds])
+    socle = sum(a - 1 for a in free) + sum(factor_series(group).socle_degree for group in groups)
     check_table_size((socle + 1, socle + 1))
-    strings = dict(_free_strings([f for _, f in components if isinstance(f, int)]))
-    for factor in (_component(f)[1] for _, f in components if not isinstance(f, int)):
+    strings = dict(_free_strings(free))
+    for factor in (_component(group)[1] for group in groups):
         product = Counter()
         for (s, e), c in strings.items():
             for (s2, e2), c2 in factor:
@@ -553,4 +549,4 @@ def lefschetz_report(ideal) -> LefschetzReport:
     count = np.zeros((socle + 1, socle + 1), dtype=object)
     count[tuple(np.array(list(strings)).T)] = list(strings.values())
     covering = count[:, ::-1].cumsum(axis=1)[:, ::-1].cumsum(axis=0)  # strings over [i, j]
-    return LefschetzReport(ideal, np.triu(covering), {}, tuple(components))
+    return LefschetzReport(ideal, np.triu(covering), {}, components)

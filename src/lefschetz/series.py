@@ -2,13 +2,12 @@
 
 A series is a dense vector of nonnegative integer coefficients together with
 a degree offset; the offset stays 0 for honest quotient algebras and records
-the grading shift of submodule slices.  There are two routes to a series:
-closed forms, the product form of a complete intersection and MaciSpec.series
-for one extra generator, and otherwise a count of the standard-monomial basis.
-``hilbert_series`` takes one route per tensor factor and multiplies them in
-``_product``, which alone prices and multiplies chains of series.  The
-constructor is the one place that checks and trims: sums and differences
-go through it, and a box 1 + ... + t^(m-1) widens a series by running sums.
+the grading shift of submodule slices.  ``factor_series`` is the one route
+from a factor of ``core.tensor_factors``' plan to its series, and
+``hilbert_series`` multiplies the factors' series in ``_product``, which
+alone prices and multiplies chains of series.  The constructor is the one
+place that checks and trims: sums and differences go through it, and a box
+1 + ... + t^(m-1) widens a series by running sums.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .core import (
     check_artinian,
     check_table_size,
     pure_power,
-    restrict,
     standard_monomial_table,
     tensor_factors,
 )
@@ -148,7 +146,7 @@ class HilbertSeries:
 
 
 def _product(factors) -> HilbertSeries:
-    """Product of a chain of nonzero series, an int a standing for 1 + t + ... + t^(a-1).
+    """Product of a chain of series, an int a standing for 1 + t + ... + t^(a-1).
 
     Priced as multiplied left to right, each step taking the running length
     times the next factor's length in multiply-adds; a chain of more than
@@ -180,24 +178,24 @@ def _ci_series(exponents) -> HilbertSeries:
     return _product([1] + [a for a in exponents if a > 1])
 
 
-def hilbert_series(ideal) -> HilbertSeries:
-    """Exact Hilbert series of R/I for an Artinian monomial ideal I.
+def factor_series(factor) -> HilbertSeries:
+    """Series of one factor of ``core.tensor_factors``' plan: the box of a free
+    variable's exponent, the MaciSpec closed form of a group with one cross
+    generator, else a count of the group's basis, refused over the budget."""
+    if isinstance(factor, int):
+        return ci_series((factor,))
+    if len(factor.cross) == 1 and not factor.is_unit():
+        return maci_from_ideal(factor).series()
+    return HilbertSeries([len(bucket) for bucket in standard_monomial_table(factor)])
 
-    R/I is the tensor product of its factors (``core.tensor_factors``), so
-    its series is the ``_product`` of theirs, from the complete intersection
-    of the free variables on.  A linked group with one cross generator is an
-    almost complete intersection, with a closed form.  Any other group is
-    answered by counting its standard monomials per degree, so a group
-    basis of more than MAX_TABLE_ENTRIES exponents (n prod a_j) is refused.
-    """
-    if ideal.is_unit():
-        return HilbertSeries(())
-    parts = tensor_factors(ideal)
-    return _product([ci_series([ideal.bounds[p[0]] for p in parts if len(p) == 1])] + [
-        maci_from_ideal(group).series() if len(group.cross) == 1
-        else HilbertSeries([len(bucket) for bucket in standard_monomial_table(group)])
-        for group in (restrict(ideal, p) for p in parts if len(p) > 1)
-    ])
+
+def hilbert_series(ideal) -> HilbertSeries:
+    """Exact Hilbert series of R/I for an Artinian monomial ideal I: the
+    ``_product`` of its factors' series, the free variables' complete
+    intersection first, then every other factor's ``factor_series``."""
+    plan = tensor_factors(ideal)
+    free = ci_series([f for _, f in plan if isinstance(f, int)])
+    return _product([free] + [factor_series(f) for _, f in plan if not isinstance(f, int)])
 
 
 def compact_repr(value) -> str:
@@ -312,6 +310,8 @@ class MaciSpec:
 def maci_from_ideal(ideal) -> MaciSpec:
     """Recover the (pure powers, extra generator) presentation, or raise."""
     check_artinian(ideal)
+    if ideal.is_unit():  # its one generator is no pure power, but it bounds nothing
+        raise ValueError("the unit ideal is not an almost complete intersection")
     if len(ideal.cross) != 1:
         raise ValueError(
             f"expected exactly one non-pure-power generator, found {len(ideal.cross)}"

@@ -79,6 +79,14 @@ def test_non_artinian_ideal_is_refused_with_one_message(capsys, command):
     assert err == "error: non-Artinian ideal: x3 has no pure power\n"
 
 
+@pytest.mark.parametrize("command", ["classify", "csm"])
+@pytest.mark.parametrize("text", ["x1^0", "x1^0, x1^3"])
+def test_unit_ideal_is_refused_as_a_spec_with_one_message(capsys, command, text):
+    code, out, err = run(capsys, command, text)
+    assert (code, out) == (1, "")
+    assert err == "error: the unit ideal is not an almost complete intersection\n"
+
+
 def test_hilbert_of_many_free_variables_restricts_only_the_linked_group(capsys):
     # 997 free squares and one linked pair: restricting every free variable
     # would scan the 1,000 generators once per variable

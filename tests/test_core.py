@@ -24,6 +24,7 @@ from lefschetz import (
 )
 from lefschetz.classify import CsmPiece
 from lefschetz.core import restrict, tensor_factors
+from lefschetz.series import factor_series
 from _util import (
     colon_by_monomial,
     hilbert_series_by_colon,
@@ -311,27 +312,50 @@ def test_hilbert_routes_agree():
         assert hilbert_series_by_colon(ideal) == hilbert_series_by_counting(ideal), ideal
 
 
-def test_hilbert_series_matches_both_reference_routes():
-    # a product over the tensor factors: closed forms for the free variables
-    # and for a group with one cross generator, the basis count beyond
+def _series_cases():
+    """The unit ideal, the field, random ideals of up to 8 extra generators
+    and ideals whose cross generators link two separate groups."""
     rng = seeded(29)
-    ideals = [MonomialIdeal(3, [Monomial((0, 0, 0))])]
+    ideals = [MonomialIdeal(3, [Monomial((0, 0, 0))]), MonomialIdeal(2, [(1, 0), (0, 1)])]
     for _ in range(400):
         n = rng.randint(1, 5)
         bounds = [rng.randint(1, 5) for _ in range(n)]
         gens = [pure_power(n, j, b) for j, b in enumerate(bounds)]
         gens += [Monomial(rng.randint(0, b - 1) for b in bounds) for _ in range(rng.randint(0, 8))]
         ideals.append(MonomialIdeal(n, gens))
-    ideals += [separate_components(rng) for _ in range(60)]
+    return ideals + [separate_components(rng) for _ in range(60)]
+
+
+def test_hilbert_series_matches_both_reference_routes():
+    # a product over the factor plan: closed forms for the free variables
+    # and for a group with one cross generator, the basis count beyond
+    ideals = _series_cases()
     crosses = {len(ideal.cross) for ideal in ideals if not ideal.is_unit()}
     assert crosses >= set(range(7)), crosses
-    linked = [sum(len(part) > 1 for part in tensor_factors(ideal)) for ideal in ideals if not ideal.is_unit()]
+    plans = [tensor_factors(ideal) for ideal in ideals if not ideal.is_unit()]
+    linked = [sum(len(part) > 1 for part, _ in plan) for plan in plans]
     assert sum(count >= 2 for count in linked) >= 50
-    counted = [restrict(ideal, part) for ideal in ideals if not ideal.is_unit() for part in tensor_factors(ideal)]
-    assert sum(len(group.cross) >= 2 for group in counted) >= 50
+    groups = [f for plan in plans for _, f in plan if not isinstance(f, int)]
+    assert sum(len(group.cross) >= 2 for group in groups) >= 50
     for ideal in ideals:
         got = hilbert_series(ideal)
         assert got == hilbert_series_by_colon(ideal) == hilbert_series_by_counting(ideal), ideal
+
+
+def test_factor_plan_splits_the_quotient_and_routes_each_factor():
+    # a free variable's factor is its exponent, any other its restricted
+    # ideal; the variables partition those with a_j >= 2, by least variable
+    for ideal in _series_cases():
+        plan = tensor_factors(ideal)
+        surviving = [j for j, a in enumerate(ideal.bounds) if (a or 0) >= 2]
+        parts = [part for part, _ in plan]
+        assert parts == sorted(parts) and sorted(j for part in parts for j in part) == (surviving or [0]), ideal
+        for part, f in plan:
+            if len(part) == 1 and part[0] in surviving:
+                assert type(f) is int and f == ideal.bounds[part[0]] >= 2, ideal
+            else:
+                assert f == restrict(ideal, part), ideal
+            assert factor_series(f) == hilbert_series_by_counting(restrict(ideal, part)), (ideal, part)
 
 
 def test_hilbert_series_multiplies_factors_that_check_answers():
@@ -574,6 +598,9 @@ def test_maci_from_ideal():
         maci_from_ideal(parse_ideal("x1^4, x2^4, x1*x2^2, x1^2*x2"))
     with pytest.raises(ValueError, match="^non-Artinian ideal: x2 has no pure power$"):
         maci_from_ideal(parse_ideal("x1^2, x1*x2"))
+    for text in ("x1^0", "x1^0, x1^3"):  # one generator, the unit monomial, bounds nothing
+        with pytest.raises(ValueError, match="^the unit ideal is not an almost complete intersection$"):
+            maci_from_ideal(parse_ideal(text))
 
 
 def test_render_parse_roundtrip_small():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lefschetz.oracle
+import lefschetz.series
 from lefschetz import (
     HilbertSeries,
     HypothesisViolation,
@@ -662,7 +663,7 @@ def _tensor_cases():
 def test_tensor_records_match_all_cells_reference():
     cases = _tensor_cases()
     assert len(cases) > 1_000
-    assert sum(1 for ideal in cases if sum(len(part) > 1 for part in tensor_factors(ideal)) > 1) >= 20
+    assert sum(1 for ideal in cases if sum(len(part) > 1 for part, _ in tensor_factors(ideal)) > 1) >= 20
     failing = 0
     for ideal in cases:
         got = lefschetz_report(ideal)
@@ -673,6 +674,28 @@ def test_tensor_records_match_all_cells_reference():
         assert {(rec.certificate, rec.implied_by) for rec in got.maps} == {("tensor", None)}
         failing += not got.slp
     assert failing >= 20
+
+
+def test_report_enumerates_each_group_basis_only_as_often_as_its_series_needs(monkeypatch, fresh_components):
+    # a group with two cross generators is counted once for its socle degree
+    # and once for its power table; a group with one has a closed form, and
+    # the free variables x5, x6 are never enumerated
+    calls = Counter()
+
+    def counted(module):
+        def table(ideal):
+            calls[module, ideal] += 1
+            return standard_monomial_table(ideal)
+
+        monkeypatch.setattr(module, "standard_monomial_table", table)
+
+    counted(lefschetz.oracle)
+    counted(lefschetz.series)
+    ideal = parse_ideal("x1^3, x2^3, x1*x2^2, x1^2*x2, x3^4, x4^3, x3^2*x4, x5^2, x6^3")
+    two, one = [f for _, f in tensor_factors(ideal) if not isinstance(f, int)]
+    assert (len(two.cross), len(one.cross)) == (2, 1)
+    lefschetz_report(ideal)
+    assert calls == {(lefschetz.series, two): 1, (lefschetz.oracle, two): 1, (lefschetz.oracle, one): 1}
 
 
 def test_tensor_report_recombines_from_its_components_alone():
