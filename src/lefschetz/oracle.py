@@ -1,36 +1,22 @@
 """Ground-truth Lefschetz verdicts via exact multiplication-matrix ranks.
 
-The linear form is l = x_1 + ... + x_n.  For a monomial ideal this is as
-general as it gets: rescaling the variables turns any form with all
-coefficients nonzero into this one while permuting nothing, so the ranks of
-the maps  l^t : A_i -> A_{i+t}  do not depend on the (nonzero) coefficients,
-and this one form decides the weak and strong Lefschetz properties.
-
-Every matrix entry is read from one table: the coefficient of x^d in
-l^|d|, for every exponent difference d that two standard monomials can
-have (see ``_power_table``); the report's Hilbert series is counted from
-the same basis, int64 exponent arrays over the factor's variables,
-enumerated once the table's budget is checked.  A report builds the table
-directly as int64 residues modulo a prime below 2^26, and
-``_certified_rank`` eliminates each ranked cell once modulo the prime, in
-its narrower orientation (the cell or its transpose, whichever has fewer
-columns).  Each pivot's rank-one update is subtracted in place from the
-slab of rows between the first and the last one below with a nonzero in
-the pivot column, and as a product of two residues stays below 2^52,
-about 2^11 updates go unreduced before the trailing block must be reduced.
-That can only underestimate the rank over Q, so whenever it reports
-min(dim) the map is proven to have full rank.  Below that, the rank r mod
-p is still a proven lower bound, and the matching upper bound comes from
-dim - r independent integer vectors in the kernel of that orientation,
-each checked exactly as M v = 0 over Z.  The vectors are read off the same
-echelon form and lifted by Chinese remaindering over a few primes and
-rational reconstruction (Wang, Guy and Davenport 1982), a certificate in
-the sense of Kaltofen, Nehring and Saunders (ISSAC 2011); see
-``_kernel_certifies``.  Only those cells read exact entries, so the table of
-Python ints is built once per report, for its first cell below full rank
-mod p, and never when every ranked cell has full rank.  Only a cell whose
-kernel vectors do not verify is ranked again from those exact entries by
-fraction-free (Bareiss) elimination.  Floating point is never used.
+The linear form is l = x_1 + ... + x_n; for a monomial ideal its ranks
+decide the weak and strong Lefschetz properties (see README).  Every
+matrix entry is read from one table, the coefficient of x^d in l^|d| for
+every exponent difference d of two standard monomials (``_power_table``),
+built once per prime as int64 residues below 2^26.  ``_certified_rank``
+eliminates each ranked cell once modulo the first prime, in its narrower
+orientation, with delayed reduction (``_echelon_mod_prime``).  That can
+only underestimate the rank over Q, so min(dim) proves full rank.  Below
+it, the rank r mod p is a lower bound, and dim - r integer kernel vectors
+give the upper bound: read off the same echelon form, lifted over later
+primes, each eliminating its own residues, by Chinese remaindering and
+rational reconstruction (Wang, Guy and Davenport 1982), and checked as
+M v = 0 over Z by int64 products modulo primes whose product exceeds the
+bound on M v (Kaltofen, Nehring and Saunders, ISSAC 2011).  So no
+certified rank reads a Python int: the exact table is built only for a
+cell whose vectors do not verify, which fraction-free (Bareiss)
+elimination ranks.  Floating point is never used.
 
 Most cells are never ranked, because three facts that hold for every
 standard graded Artinian algebra and every linear form imply their full
@@ -44,30 +30,21 @@ rank from cells already proven (Migliore, Miro-Roig and Nagel, Trans. AMS
 * if l^t : A_i -> A_{i+t} is surjective, so is l^t : A_{i+1} -> A_{i+1+t},
   because A is generated in degree 1.
 
-``_scheduled_ranks`` therefore visits t from the socle degree down to 1,
-keeping the sources proven injective and the least i + t of a cell proven
-surjective.  A cell that must be injective (dim A_i <= dim A_{i+t}) is
-implied when its source is proven injective; one that must be surjective
-is implied when its i + t is at least that least value.  Only the other
-cells are ranked.  For a symmetric Hilbert function of socle degree D this
-ranks the central maps l^(D-2i) : A_i -> A_(D-i) first, and when they are
-bijective, the strong Lefschetz property in the narrow sense of Harima et
-al., *The Lefschetz Properties* (LNM 2080), nothing else.  A rank-deficient
-cell is never implied, so each one is certified.  Each cell of the report's
-rank table has a ``certificate``, and its ``MapRecord`` is built on demand:
+``_scheduled_ranks`` therefore visits t from the socle degree down to 1
+and ranks only the cells whose full rank the proven ones do not imply: for
+a symmetric Hilbert function of socle degree D, the central maps
+l^(D-2i) : A_i -> A_(D-i) when they are bijective (the strong Lefschetz
+property in the narrow sense of Harima et al., LNM 2080).  A deficient
+cell is never implied, so each one is certified.  Each cell's
+``certificate`` (its ``MapRecord`` is built on demand) is one of:
 
 * "mod_p": full rank mod p;
 * "kernel": rank mod p, matched by verified integer kernel vectors;
 * "exact": rank from the Bareiss fallback;
 * "implied": full rank implied by the proven cell in ``implied_by``;
 * "tensor": rank on the factors of the plan (``core.tensor_factors``), from
-  their Jordan strings: [s, e] times [s', e'], of lengths L and M, is
-  k[u, v]/(u^L, v^M) with l = u + v, strong Lefschetz in characteristic zero
-  (Stanley 1980; Watanabe 1987), so it splits into [s + s' + k, e + e' - k],
-  k < min(L, M): the Clebsch-Gordan rule (Iarrobino, Marques and McDaniel,
-  J. Commut. Algebra 2022).  The free variables are one complete
-  intersection with the SLP, whose strings are read off its series.  The
-  series of several factors is read off the same strings, not multiplied.
+  their Jordan strings by the Clebsch-Gordan rule (see README and
+  ``lefschetz_report``).
 """
 
 from __future__ import annotations
@@ -91,7 +68,7 @@ _PRIMES = (
 )
 # pivots between reductions of an elimination's trailing block (about 2^11):
 # each subtracts at most (p - 1)^2 < 2^52 from an entry in [0, p), and the
-# entry must stay above -2^63
+# entry must stay above -2^63; also the products of residues summed at once
 _REDUCE_EVERY = (2**63 - 1 - _PRIME) // (_PRIME - 1) ** 2
 
 CERT_MOD_P = "mod_p"  # full rank shown by elimination modulo the prime
@@ -138,31 +115,31 @@ def _multinomials(bounds, p=None):
     return table.ravel()
 
 
-def _power_table(ideal, p=None):
+def _power_table(ideal):
     """Keys of the standard monomials and the table of coefficients of powers of l.
 
     Entry (u, v) of the matrix of l^t is the coefficient of x^(u - v) in
     l^|u - v|, so it depends only on d = u - v, and d_j lies in
     [-(a_j - 1), a_j - 1] where x_j^(a_j) is the pure power of the ideal.
-    The table is ``_multinomials`` over that whole box: Python ints, or
-    int64 residues mod ``p`` when it is given.  Each degree-i standard
-    monomial u gets the mixed-radix key sum(u_j * w_j) with the C-order
-    strides w_j of the box, so the entry for (u, v) sits at
-    ``center + key(u) - key(v)``.  Every variable of the Artinian ideal gets
-    an axis, so the oracle passes it a tensor factor.
+    ``table(p)`` builds ``_multinomials`` over that whole box once per p,
+    as int64 residues mod p, or Python ints for p None.  Each degree-i
+    standard monomial u gets the mixed-radix key sum(u_j * w_j) with the
+    C-order strides w_j of the box, so the entry for (u, v) sits at
+    ``center + key(u) - key(v)``.  Every variable of the Artinian ideal
+    gets an axis, so the oracle passes it a tensor factor.
 
-    Returns (keys by degree as int64 arrays, flat table, center).
+    Returns (keys by degree as int64 arrays, table, center).
     A box of more than MAX_TABLE_ENTRIES entries is a ValueError.
     """
     if ideal.is_unit():  # no monomials and no entries
-        return (), np.zeros(0, dtype=object if p is None else np.int64), 0
+        return (), lambda p: np.zeros(0, dtype=np.int64), 0
     box = [2 * a - 1 for a in ideal.bounds]
     check_table_size(box)
     basis = standard_monomial_table(ideal)
     strides = np.array([prod(box[j + 1 :]) for j in range(len(box))], dtype=np.int64)
     center = int(strides @ (np.array(ideal.bounds, dtype=np.int64) - 1))
     keys = [bucket @ strides for bucket in basis]
-    return keys, _multinomials(ideal.bounds, p), center
+    return keys, cache(partial(_multinomials, ideal.bounds)), center
 
 
 def multiplication_matrix(ideal, i, t):
@@ -184,7 +161,7 @@ def multiplication_matrix(ideal, i, t):
     empty = np.zeros(0, dtype=np.int64)
     src = keys[i] if i < len(keys) else empty
     tgt = keys[i + t] if i + t < len(keys) else empty
-    return table[center + tgt[:, None] - src].tolist()
+    return table(None)[center + tgt[:, None] - src].tolist()
 
 
 def matrix_rank(matrix) -> int:
@@ -267,13 +244,18 @@ def _kernel_mod_prime(pivots, echelon, p):
     free columns and -R[k, j] in pivot column k, where R is the reduced row
     echelon form.  Only its entries in the pivot columns are returned, one
     column per free column: back substitution through the unit triangle of
-    the echelon form on the free columns alone gives R's free columns.
+    the echelon form on the free columns alone gives R's free columns, one
+    final row at a time subtracted unreduced from the rows above, which are
+    reduced every ``_REDUCE_EVERY`` steps as in ``_echelon_mod_prime``.
     """
     free = sorted(set(range(echelon.shape[1])) - set(pivots))
     triangle = echelon[:, pivots]
     X = echelon[:, free]
-    for k in range(len(pivots) - 2, -1, -1):
-        X[k] = (X[k] - (triangle[k, k + 1 :, None] * X[k + 1 :] % p).sum(axis=0)) % p
+    for k in range(len(pivots) - 1, 0, -1):  # row k is final once every row below is subtracted
+        X[k] %= p
+        X[:k] -= triangle[:k, k, None] * X[k]
+        if (len(pivots) - k) % _REDUCE_EVERY == 0:
+            X[:k] %= p
     return free, -X % p
 
 
@@ -311,28 +293,47 @@ def _integer_kernel(residues, modulus, pivots, free, ncols):
     return kernel
 
 
-def _kernel_certifies(matrix, pivots, echelon) -> bool:
-    """Whether integer kernel vectors prove ``matrix`` has rank len(pivots) over Q.
+def _vanishes(cell, table, bound, kernel) -> bool:
+    """Whether the matrix M that ``cell`` indexes times the integer ``kernel`` K is 0 over Z.
 
-    ``matrix`` is an object array of Python ints with no more columns than
-    rows, so that its kernel has dimension ncols - rank, and ``pivots`` and
+    With entries of M at most ``bound`` in absolute value, M K = 0 once it
+    vanishes modulo primes of ``_PRIMES`` whose product exceeds c * bound *
+    max|K| for c columns.  Mod each prime q, ``table(q)[cell]`` times K mod
+    q is summed in int64 over ``_REDUCE_EVERY`` columns at a time, so no sum
+    of products below 2^52 wraps.  False if the primes run out first.
+    """
+    limit = cell.shape[1] * bound * max(map(abs, kernel.flat))
+    modulus = 1
+    for q in _PRIMES:
+        if modulus > limit:
+            return True
+        M, K, n = table(q)[cell], (kernel % q).astype(np.int64), _REDUCE_EVERY
+        if (sum(M[:, j : j + n] @ K[j : j + n] % q for j in range(0, len(K), n)) % q).any():
+            return False
+        modulus *= q
+    return False
+
+
+def _kernel_certifies(cell, table, bound, pivots, echelon) -> bool:
+    """Whether integer kernel vectors prove the cell's matrix has rank len(pivots) over Q.
+
+    ``cell`` indexes, in the tables ``table(p)``, a matrix with no more
+    columns than rows, whose entries are at most ``bound``; ``pivots`` and
     ``echelon`` are its row echelon form mod the first prime of ``_PRIMES``.
-    Modulo each prime in turn, the reduced row echelon form R gives one
-    kernel vector per free column: 1 there, 0 in the other free columns and
-    -R[k, j] in pivot column k; only the later primes eliminate again.  The
-    residues of all primes so far are combined by Chinese remaindering and
-    lifted to integer vectors (``_integer_kernel``).  The vectors are
-    independent, since they form an identity block on the free columns, so
-    once the matrix times them is exactly zero over Z, it has at most
-    len(pivots) independent columns.  With elimination mod p, which never
-    overstates the rank, this certifies it (Kaltofen, Nehring and Saunders,
-    ISSAC 2011).  False when a later prime gives other pivot columns or no
-    prime yields vectors that verify.
+    Mod each prime in turn (the later ones eliminate their own residues of
+    the cell), the reduced echelon form R gives one kernel vector per free
+    column: 1 there, 0 in the other free columns and -R[k, j] in pivot
+    column k.  The residues of all primes so far are combined by Chinese
+    remaindering and lifted to integer vectors (``_integer_kernel``), which
+    are independent, having an identity block on the free columns.  Once
+    the matrix times them is 0 over Z (``_vanishes``), its rank is at most
+    len(pivots) (Kaltofen, Nehring and Saunders, ISSAC 2011).  False when a
+    later prime gives other pivots or no vectors verify.
     """
     first, residues, modulus = pivots, 0, 1
     for p in _PRIMES:
         if p != _PRIME:
-            pivots, echelon = _echelon_mod_prime((matrix % p).astype(np.int64), p)
+            pivots, echelon = _echelon_mod_prime(table(p)[cell], p)
             if pivots != first:
                 return False
         free, block = _kernel_mod_prime(pivots, echelon, p)
@@ -340,32 +341,30 @@ def _kernel_certifies(matrix, pivots, echelon) -> bool:
         # the residues mod modulus * p that match those of every prime so far
         residues = residues + modulus * ((block - residues) * pow(modulus, -1, p) % p)
         modulus *= p
-        kernel = _integer_kernel(residues, modulus, pivots, free, matrix.shape[1])
-        if kernel is not None and not np.count_nonzero(matrix.dot(kernel)):
+        kernel = _integer_kernel(residues, modulus, pivots, free, cell.shape[1])
+        if kernel is not None and _vanishes(cell, table, bound, kernel):
             return True
     return False
 
 
-def _certified_rank(cell, residues, exact, i, t):
+def _certified_rank(cell, table, bound, i, t):
     """Rank over Q of the cell of l^t on degree i, and its certificate.
 
-    ``cell`` indexes the cell in the flat int64 table ``residues`` mod
-    ``_PRIME`` and in the flat exact table that ``exact()`` returns, which
-    is read only below full rank.  The cell is eliminated once mod
-    ``_PRIME``, in the orientation with no more columns than rows, whose
-    kernel the certificate reads; below full rank, that echelon form seeds
-    ``_kernel_certifies``, and Bareiss is the last resort.
+    ``cell`` indexes the cell in the flat tables ``table(p)`` (residues mod
+    p, or Python ints for p None) with entries at most ``bound``.  It is
+    eliminated once mod ``_PRIME``, in the orientation with no more columns
+    than rows; below full rank, that echelon form seeds ``_kernel_certifies``,
+    and only Bareiss, the last resort, reads ``table(None)``.
     """
     if cell.shape[1] > cell.shape[0]:
         cell = cell.T
-    pivots, echelon = _echelon_mod_prime(residues[cell], _PRIME)
+    pivots, echelon = _echelon_mod_prime(table(_PRIME)[cell], _PRIME)
     rank = len(pivots)
     if rank == cell.shape[1]:
         return rank, CERT_MOD_P
-    entries = exact()[cell]
-    if _kernel_certifies(entries, pivots, echelon):
+    if _kernel_certifies(cell, table, bound, pivots, echelon):
         return rank, CERT_KERNEL
-    exact_rank = matrix_rank(entries.tolist())  # the last resort
+    exact_rank = matrix_rank(table(None)[cell].tolist())  # the last resort
     if exact_rank < rank:
         raise HypothesisViolation(
             f"exact rank {exact_rank} of l^{t} on degree {i} is below its rank mod p, {rank}"
@@ -467,8 +466,7 @@ def _scheduled_ranks(ideal):
     already proven (see the module docstring) is entered without being
     ranked, with the proven cell as its ``implied_by``.
     """
-    keys, residues, center = _power_table(ideal, _PRIME)
-    exact = cache(partial(_multinomials, ideal.bounds))  # built for the first deficient cell
+    keys, table, center = _power_table(ideal)
     h = [len(bucket) for bucket in keys]
     ranks = np.diag(np.array(h, dtype=object))
 
@@ -484,7 +482,8 @@ def _scheduled_ranks(ideal):
                 rank, proofs[i, t] = dim_tgt, (CERT_IMPLIED, surjective[1])
             else:
                 cell = center + keys[i + t][:, None] - keys[i]
-                rank, certificate = _certified_rank(cell, residues, exact, i, t)
+                # every entry of l^t is a multinomial of (x_1 + ... + x_n)^t, at most n^t
+                rank, certificate = _certified_rank(cell, table, ideal.n**t, i, t)
                 proofs[i, t] = (certificate, None)
             ranks[i, i + t] = rank
             # a full-rank square cell is bijective and proves both directions
@@ -523,11 +522,12 @@ def lefschetz_report(ideal) -> LefschetzReport:
 
     With several factors in ``core.tensor_factors``' plan, each linked group
     is ranked once per process, the free variables are one complete
-    intersection (``_free_strings``), strings combine by the Clebsch-Gordan
-    rule, and the rank of l^t on A_i (h_i when t = 0) counts the strings
-    with s <= i and e >= i + t.  The budget counts each group's power table,
-    then the (D + 1)^2 ranks of the socle degree D read off the factors'
-    series, all before any group is ranked.
+    intersection (``_free_strings``), strings [s, e] and [s', e'] combine
+    into [s + s' + k, e + e' - k] for k below both lengths (Clebsch-Gordan;
+    see README), and the rank of l^t on A_i (h_i when t = 0) counts the
+    strings with s <= i and e >= i + t.  The budget counts each group's
+    power table, then the (D + 1)^2 ranks of the socle degree D read off
+    the factors' series, all before any group is ranked.
     """
     components = tensor_factors(ideal)
     if len(components) < 2:

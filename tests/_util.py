@@ -360,7 +360,8 @@ def lefschetz_report_all_cells(ideal):
     lefschetz_report's, and the witnesses, wlp and slp are read off them
     here, cell by cell, with no verdict code of the oracle's.
     """
-    keys, table, center = _power_table(ideal)
+    keys, tables, center = _power_table(ideal)
+    table = tables(None)
     series = hilbert_series(ideal)
     socle = 0 if series.is_zero() else series.socle_degree  # no cell when zero
     residues = (table % _PRIME).astype(np.int64)

@@ -390,13 +390,16 @@ def test_report_certifies_deficient_cells_by_kernel_vectors(monkeypatch, fresh_c
 def test_report_falls_back_to_bareiss_after_an_unlucky_prime(monkeypatch, fresh_components, prime):
     # cells of full rank over Q lose rank mod a tiny first prime; their
     # kernel vectors cannot verify, the next prime moves their pivots, and
-    # Bareiss ranks them.  The reference keeps the real first prime.
+    # Bareiss ranks them from the exact table, built once.  The reference
+    # keeps the real first prime.
     want = lefschetz_report_all_cells(TOGLIATTI)
     _unlucky_first_prime(monkeypatch, prime)
     calls = _count_bareiss(monkeypatch)
+    built = _exact_tables_built(monkeypatch)
     got = lefschetz_report(TOGLIATTI)
     exact = [r.certificate for r in got.maps].count("exact")
     assert len(calls) == exact >= 1
+    assert built == [(3, 3, 3)]
     assert _record_keys(got) == _record_keys(want)
     assert got.witnesses == want.witnesses == [(2, 1)]
 
@@ -429,12 +432,18 @@ def test_report_eliminates_each_ranked_cell_once_mod_the_first_prime(
     assert primes.count(lefschetz.oracle._PRIME) == len(ranked)
 
 
-def _certify(matrix):
-    """(rank, certificate) of a small integer matrix, as a one-cell table."""
+def _one_cell(matrix):
+    """A small integer matrix as (cell, table, bound) of a one-cell table,
+    its entry bound the largest absolute value of an entry."""
     table = np.array(matrix, dtype=object)
     cell = np.arange(table.size).reshape(table.shape)
     table = table.ravel()
-    return _certified_rank(cell, (table % _PRIME).astype(np.int64), lambda: table, 0, 1)
+    return cell, lambda p: table if p is None else (table % p).astype(np.int64), max(map(abs, table))
+
+
+def _certify(matrix):
+    """(rank, certificate) of a small integer matrix."""
+    return _certified_rank(*_one_cell(matrix), 0, 1)
 
 
 def test_kernel_certificate_gives_up_rather_than_understate():
@@ -516,7 +525,7 @@ def _echelon_cases():
             cases.append(_sparse(rng, rows, cols, density))
             cases.append(_sparse(rng, rows, 4, 0.5) @ _sparse(rng, 4, cols, density) % p)  # rank <= 4
     keys, table, center = _power_table(MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal())
-    residues = (table % p).astype(np.int64)
+    residues = table(p)
     for t in range(1, len(keys)):
         for i in range(len(keys) - t):
             cell = center + keys[i + t][:, None] - keys[i]
@@ -579,15 +588,16 @@ def test_residue_table_equals_the_exact_table_mod_p():
     ideals += [rand_maci(rng, rng.randint(2, 4)).ideal() for _ in range(12)]
     ideals += [MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal(), TOGLIATTI]
     for ideal in ideals:
-        keys, exact, center = _power_table(ideal)
         if ideal.is_unit():
             continue
+        _, table, _ = _power_table(ideal)
+        exact = table(None)
         assert exact.tolist() == _exact_table_by_factorials(ideal.bounds)
         for p in _PRIMES + (2, 3, 5, 7):
-            got_keys, residues, got_center = _power_table(ideal, p)
-            assert residues.dtype == np.int64 and got_center == center
-            assert [k.tolist() for k in got_keys] == [k.tolist() for k in keys]
+            residues = table(p)
+            assert residues.dtype == np.int64
             assert residues.tolist() == (exact % p).tolist(), (ideal, p)
+            assert table(p) is residues  # built once per prime
 
 
 def _exact_tables_built(monkeypatch, forbid=False):
@@ -617,12 +627,51 @@ def test_full_rank_reports_build_no_exact_table(monkeypatch, fresh_components):
     assert rows and all(row.slp for row in rows)
 
 
-def test_deficient_report_builds_the_exact_table_once(monkeypatch, fresh_components):
-    built = _exact_tables_built(monkeypatch)
+def test_deficient_report_builds_no_exact_table(monkeypatch, fresh_components):
+    # kernel vectors are found and checked on residues alone
+    _exact_tables_built(monkeypatch, forbid=True)
     report = lefschetz_report(MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal())
     kernel = [rec for rec in report.maps if rec.certificate == "kernel"]
     assert len(kernel) > 1
-    assert built == [(6, 6, 6, 6)]
+
+
+def _vanishes(matrix, kernel):
+    """Whether a small integer matrix times ``kernel`` is checked to be 0."""
+    return lefschetz.oracle._vanishes(*_one_cell(matrix), np.array(kernel, dtype=object))
+
+
+def test_kernel_check_reads_primes_up_to_its_bound(monkeypatch):
+    # M K = (q1 q2, 2 q1 q2) is 0 mod the first two primes, but their
+    # product is below the bound 2 * 2 * (1 + q1 q2), so a third must be read
+    q1, q2 = _PRIMES[:2]
+    matrix = [[1, 1], [2, 2]]
+    assert _vanishes(matrix, [[1], [-1]])
+    assert _vanishes(matrix, [[q1 * q2 * _PRIMES[2]], [-q1 * q2 * _PRIMES[2]]])
+    assert not _vanishes(matrix, [[1 + q1 * q2], [-1]])
+    assert not _vanishes(matrix, [[1, 1 + q1 * q2], [-1, -1]])
+    # with no third prime the bound cannot be met, so nothing certifies
+    monkeypatch.setattr(lefschetz.oracle, "_PRIMES", (q1, q2))
+    assert not _vanishes(matrix, [[1 + q1 * q2], [-1]])
+    assert _vanishes(matrix, [[1], [-1]])
+
+
+def test_kernel_check_sums_long_columns_without_wrapping():
+    # mod p, the 5,000 products (p - 1) * 1 and (p - 1) * (p - 1) of this
+    # kernel vector sum past 2^63 unless cut into _REDUCE_EVERY columns
+    p, c = _PRIME, 5_000
+    assert c // 2 * (p - 1) ** 2 > 2**63 > _REDUCE_EVERY * (p - 1) ** 2
+    matrix = [[p - 1] * c, [-1] * c]
+    assert _vanishes(matrix, [[1], [-1]] * (c // 2))
+    assert not _vanishes(matrix, [[1], [-1]] * (c // 2 - 1) + [[1], [0]])
+
+
+def test_multinomials_are_at_most_n_to_their_degree():
+    # the entry bound a report passes for a cell of l^t is n^t
+    for bounds in [(1,), (5,), (2, 2), (3, 4), (4, 4, 4), (2, 3, 4, 5), (3, 3, 3, 3, 3)]:
+        table = lefschetz.oracle._multinomials(bounds).reshape([2 * a - 1 for a in bounds])
+        for index in np.ndindex(*table.shape):
+            d = [k - (a - 1) for k, a in zip(index, bounds)]
+            assert table[index] <= len(bounds) ** sum(map(abs, d)), (bounds, d)
 
 
 def test_power_table_over_the_work_budget_is_refused():
