@@ -1,34 +1,23 @@
 """Ground-truth Lefschetz verdicts via exact multiplication-matrix ranks.
 
 The linear form is l = x_1 + ... + x_n; for a monomial ideal its ranks
-decide the weak and strong Lefschetz properties (see README).  Every
-matrix entry is read from one table, the coefficient of x^d in l^|d| for
-every exponent difference d of two standard monomials (``_power_table``),
-built once per prime as int64 residues below 2^26.  ``_certified_rank``
-eliminates each ranked cell once modulo the first prime, in its narrower
-orientation, with delayed reduction (``_echelon_mod_prime``).  That can
-only underestimate the rank over Q, so min(dim) proves full rank.  Below
-it, the rank r mod p is a lower bound, and dim - r integer kernel vectors
-give the upper bound: read off the same echelon form, lifted over later
-primes, each eliminating its own residues, by Chinese remaindering and
-rational reconstruction (Wang, Guy and Davenport 1982), and checked as
-M v = 0 over Z by int64 products modulo primes whose product exceeds the
-bound on M v (Kaltofen, Nehring and Saunders, ISSAC 2011).  So no
-certified rank reads a Python int: the exact table is built only for a
-cell whose vectors do not verify, which fraction-free (Bareiss)
-elimination ranks.  Floating point is never used.
+decide the weak and strong Lefschetz properties (see README).  Every matrix
+entry is read from one table (``_power_table``), built once per prime as
+int64 residues below 2^26.  ``_certified_rank`` eliminates each ranked cell
+once modulo the first prime (``_echelon_mod_prime``), which can only
+underestimate the rank over Q, so min(dim) proves full rank; below it,
+integer kernel vectors checked over Z on residues alone give the matching
+upper bound (``_kernel_certifies``).  Only a cell whose vectors do not
+verify reads the exact table of Python ints, for fraction-free (Bareiss)
+elimination.  Floating point is never used.
 
 Most cells are never ranked, because three facts that hold for every
 standard graded Artinian algebra and every linear form imply their full
 rank from cells already proven (Migliore, Miro-Roig and Nagel, Trans. AMS
-2011, section 2):
-
-* if l^t is injective on A_i, so is l^s for every s < t, since
-  ker l^s is contained in ker l^t;
-* if l^t : A_j -> A_{j+t} is surjective, so is l^s : A_{j+t-s} -> A_{j+t}
-  for every s <= t;
-* if l^t : A_i -> A_{i+t} is surjective, so is l^t : A_{i+1} -> A_{i+1+t},
-  because A is generated in degree 1.
+2011, section 2): if l^t is injective on A_i, so is l^s for every s < t
+(ker l^s lies in ker l^t); if l^t : A_j -> A_{j+t} is surjective, so is
+l^s : A_{j+t-s} -> A_{j+t} for every s <= t; and if l^t is surjective from
+A_i, so it is from A_{i+1}, because A is generated in degree 1.
 
 ``_scheduled_ranks`` therefore visits t from the socle degree down to 1
 and ranks only the cells whose full rank the proven ones do not imply: for
@@ -36,15 +25,10 @@ a symmetric Hilbert function of socle degree D, the central maps
 l^(D-2i) : A_i -> A_(D-i) when they are bijective (the strong Lefschetz
 property in the narrow sense of Harima et al., LNM 2080).  A deficient
 cell is never implied, so each one is certified.  Each cell's
-``certificate`` (its ``MapRecord`` is built on demand) is one of:
-
-* "mod_p": full rank mod p;
-* "kernel": rank mod p, matched by verified integer kernel vectors;
-* "exact": rank from the Bareiss fallback;
-* "implied": full rank implied by the proven cell in ``implied_by``;
-* "tensor": rank on the factors of the plan (``core.tensor_factors``), from
-  their Jordan strings by the Clebsch-Gordan rule (see README and
-  ``lefschetz_report``).
+``certificate`` (its ``MapRecord`` is built on demand) is one of the
+``CERT_*`` values below.  A "tensor" rank is read off the Jordan strings of
+the factors of the plan (``core.tensor_factors``) by the Clebsch-Gordan
+rule, whose terms count against the work budget (``lefschetz_report``).
 """
 
 from __future__ import annotations
@@ -207,7 +191,9 @@ def _echelon_mod_prime(matrix, p):
     column; a row in between loses exactly 0.  An update lowers an entry by
     at most (p - 1)^2, so the block is reduced every ``_REDUCE_EVERY``
     pivots, before int64 could wrap.  Entries left of the pivot column are
-    exactly 0 below it, and the loop ends once every row holds a pivot.
+    exactly 0 from the pivot row down, so a pivot found lower is moved up by
+    exchanging the two rows' tails from that column alone; the loop ends
+    once every row holds a pivot.
     """
     A = matrix.copy()
     product = np.empty(A.size, dtype=A.dtype)  # every step's outer product, in one buffer
@@ -216,13 +202,14 @@ def _echelon_mod_prime(matrix, p):
         rank = len(pivots)
         if rank == A.shape[0]:
             break
-        A[rank:, col] %= p
-        nz = A[rank:, col].nonzero()[0]
+        column = A[rank:, col]
+        column %= p
+        nz = column.nonzero()[0]
         if nz.size == 0:
             continue
-        if nz[0]:  # the old row rank has a 0 here, and moves to rank + nz[0], out of the slab
-            A[[rank, rank + nz[0]]] = A[[rank + nz[0], rank]]
         row = A[rank, col:]
+        if nz[0]:  # the old row rank has a 0 here, and moves to rank + nz[0], out of the slab
+            A[rank + nz[0], col:], row[:] = row, A[rank + nz[0], col:].copy()
         row %= p
         row *= pow(int(row[0]), -1, p)
         row %= p
@@ -280,14 +267,24 @@ def _integer_kernel(residues, modulus, pivots, free, ncols):
 
     Column j of ``residues`` holds the entries in the pivot columns of the
     kernel vector of free column ``free[j]``; each is reconstructed as a
-    fraction and the vector scaled by the lcm of its denominators.
+    fraction and the vector scaled by the lcm of its denominators.  With
+    ``scale`` their lcm so far, x is a / scale when the symmetric residue a
+    of x * scale and scale are both within ``_rational``'s bound, which
+    allows one fraction; ``_rational`` reads only the other entries.
     """
+    bound, half = isqrt(modulus // 2), modulus // 2
     kernel = np.zeros((ncols, len(free)), dtype=object)
     for j, f in enumerate(free):
-        fractions = [_rational(x, modulus) for x in residues[:, j]]
-        if None in fractions:
-            return None
-        scale = lcm(*(b for _, b in fractions))
+        fractions, scale = [], 1
+        for x in residues[:, j]:
+            a = (x * scale + half) % modulus - half
+            if abs(a) <= bound and scale <= bound:
+                fractions.append((a, scale))
+                continue
+            if (fraction := _rational(x, modulus)) is None:
+                return None
+            fractions.append(fraction)
+            scale = lcm(scale, fraction[1])
         kernel[f, j] = scale
         kernel[pivots, j] = [a * (scale // b) for a, b in fractions]
     return kernel
@@ -321,11 +318,10 @@ def _kernel_certifies(cell, table, bound, pivots, echelon) -> bool:
     columns than rows, whose entries are at most ``bound``; ``pivots`` and
     ``echelon`` are its row echelon form mod the first prime of ``_PRIMES``.
     Mod each prime in turn (the later ones eliminate their own residues of
-    the cell), the reduced echelon form R gives one kernel vector per free
-    column: 1 there, 0 in the other free columns and -R[k, j] in pivot
-    column k.  The residues of all primes so far are combined by Chinese
-    remaindering and lifted to integer vectors (``_integer_kernel``), which
-    are independent, having an identity block on the free columns.  Once
+    the cell), ``_kernel_mod_prime`` gives one kernel vector per free column;
+    the residues of all primes so far are combined by Chinese remaindering
+    and lifted to integer vectors (``_integer_kernel``), independent by
+    their identity block on the free columns.  Once
     the matrix times them is 0 over Z (``_vanishes``), its rank is at most
     len(pivots) (Kaltofen, Nehring and Saunders, ISSAC 2011).  False when a
     later prime gives other pivots or no vectors verify.
@@ -350,8 +346,8 @@ def _kernel_certifies(cell, table, bound, pivots, echelon) -> bool:
 def _certified_rank(cell, table, bound, i, t):
     """Rank over Q of the cell of l^t on degree i, and its certificate.
 
-    ``cell`` indexes the cell in the flat tables ``table(p)`` (residues mod
-    p, or Python ints for p None) with entries at most ``bound``.  It is
+    ``cell`` indexes the cell in the flat tables ``table(p)`` of
+    ``_power_table``, with entries at most ``bound``.  It is
     eliminated once mod ``_PRIME``, in the orientation with no more columns
     than rows; below full rank, that echelon form seeds ``_kernel_certifies``,
     and only Bareiss, the last resort, reads ``table(None)``.
@@ -364,7 +360,7 @@ def _certified_rank(cell, table, bound, i, t):
         return rank, CERT_MOD_P
     if _kernel_certifies(cell, table, bound, pivots, echelon):
         return rank, CERT_KERNEL
-    exact_rank = matrix_rank(table(None)[cell].tolist())  # the last resort
+    exact_rank = matrix_rank(table(None)[cell].tolist())
     if exact_rank < rank:
         raise HypothesisViolation(
             f"exact rank {exact_rank} of l^{t} on degree {i} is below its rank mod p, {rank}"
@@ -461,10 +457,8 @@ def _scheduled_ranks(ideal):
     Beyond the socle degree every target space is zero and full rank is
     automatic, so those cells are not enumerated.  No cell has a zero source
     or target: A_i = 0 would force A_{i+1} = A_1 A_i = 0, so the Hilbert
-    function has no internal zeros (Harima et al.).  Cells are visited from
-    t = socle down to 1, and a cell whose full rank follows from cells
-    already proven (see the module docstring) is entered without being
-    ranked, with the proven cell as its ``implied_by``.
+    function has no internal zeros (Harima et al.).  A cell implied by a
+    proven one (see the module docstring) names it as its ``implied_by``.
     """
     keys, table, center = _power_table(ideal)
     h = [len(bucket) for bucket in keys]
@@ -527,7 +521,8 @@ def lefschetz_report(ideal) -> LefschetzReport:
     see README), and the rank of l^t on A_i (h_i when t = 0) counts the
     strings with s <= i and e >= i + t.  The budget counts each group's
     power table, then the (D + 1)^2 ranks of the socle degree D read off
-    the factors' series, all before any group is ranked.
+    the factors' series, all before any group is ranked, and the terms of
+    the combination so far, before each factor is combined.
     """
     components = tensor_factors(ideal)
     if len(components) < 2:
@@ -538,8 +533,11 @@ def lefschetz_report(ideal) -> LefschetzReport:
         check_table_size([2 * a - 1 for a in group.bounds])
     socle = sum(a - 1 for a in free) + sum(factor_series(group).socle_degree for group in groups)
     check_table_size((socle + 1, socle + 1))
-    strings = dict(_free_strings(free))
+    strings, terms = dict(_free_strings(free)), 0
     for factor in (_component(group)[1] for group in groups):
+        check_table_size((terms + len(strings) * len(factor),))  # >= 1 term per pair of strings
+        terms += sum(min(e - s, e2 - s2) + 1 for s, e in strings for (s2, e2), _ in factor)
+        check_table_size((terms,))
         product = Counter()
         for (s, e), c in strings.items():
             for (s2, e2), c2 in factor:

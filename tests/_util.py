@@ -3,7 +3,7 @@
 import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, lcm
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +41,7 @@ from lefschetz.oracle import (
     CERT_MOD_P,
     _echelon_mod_prime,
     _power_table,
+    _rational,
 )
 
 SHAPE_ALL_ON_TOP = "all_on_top"
@@ -304,13 +305,13 @@ def multiplication_matrix_by_entries(ideal, i, t):
 
 def echelon_mod_prime_stepwise(matrix, p):
     """Reference row echelon form over F_p that reduces the whole trailing
-    block mod p after every pivot; same contract as
-    ``oracle._echelon_mod_prime``: pivot columns and the nonzero rows, with
-    every pivot scaled to 1.
+    block mod p after every pivot and exchanges whole rows; returns what
+    ``oracle._echelon_mod_prime`` does, pivot columns and the nonzero rows
+    with every pivot scaled to 1, and then the number of row exchanges.
     """
     A = np.mod(matrix, p)
     nrows, ncols = A.shape
-    pivots = []
+    pivots, exchanges = [], 0
     for col in range(ncols):
         rank = len(pivots)
         nz = np.nonzero(A[rank:, col])[0]
@@ -319,6 +320,7 @@ def echelon_mod_prime_stepwise(matrix, p):
         piv = rank + int(nz[0])
         if piv != rank:
             A[[rank, piv]] = A[[piv, rank]]
+            exchanges += 1
         inv = pow(int(A[rank, col]), p - 2, p)
         A[rank, col:] = A[rank, col:] * inv % p
         below = A[rank + 1 :, col]
@@ -328,7 +330,7 @@ def echelon_mod_prime_stepwise(matrix, p):
         pivots.append(col)
         if rank + 1 == nrows:
             break
-    return pivots, A[: len(pivots)]
+    return pivots, A[: len(pivots)], exchanges
 
 
 def echelon_mod_prime_by_ints(rows, p):
@@ -350,6 +352,21 @@ def echelon_mod_prime_by_ints(rows, p):
             A[r] = [(x - c * y) % p for x, y in zip(A[r], A[rank])]
         pivots.append(col)
     return pivots, A[: len(pivots)]
+
+
+def integer_kernel_per_entry(residues, modulus, pivots, free, ncols):
+    """Reference ``oracle._integer_kernel``: every entry reconstructed as a
+    fraction by its own ``_rational`` call, each column scaled by the lcm of
+    its denominators; None when any entry has no fraction within the bound."""
+    kernel = np.zeros((ncols, len(free)), dtype=object)
+    for j, f in enumerate(free):
+        fractions = [_rational(x, modulus) for x in residues[:, j]]
+        if None in fractions:
+            return None
+        scale = lcm(*(b for _, b in fractions))
+        kernel[f, j] = scale
+        kernel[pivots, j] = [a * (scale // b) for a, b in fractions]
+    return kernel
 
 
 def lefschetz_report_all_cells(ideal):

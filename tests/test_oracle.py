@@ -37,13 +37,16 @@ from lefschetz.oracle import (
     _certified_rank,
     _echelon_mod_prime,
     _free_strings,
+    _integer_kernel,
     _power_table,
+    _rational,
 )
 from _util import (
     contains,
     echelon_mod_prime_by_ints,
     echelon_mod_prime_stepwise,
     free_strings_one_at_a_time,
+    integer_kernel_per_entry,
     jordan_type,
     lefschetz_report_all_cells,
     map_at,
@@ -476,6 +479,41 @@ def test_kernel_certificate_combines_primes(monkeypatch):
     assert primes == list(_PRIMES[:2])
 
 
+def test_integer_kernel_equals_the_per_entry_reference():
+    # a column's entries are read over the lcm of its denominators so far;
+    # every entry reconstructed on its own is the reference, also where the
+    # lcm passes the bound or some entry has no fraction within it
+    rng, primes = seeded(283), (11, 13, 17, 19, 23, 29, 31)
+    for modulus in (_PRIME, _PRIME * _PRIMES[1]):
+        bound = isqrt(modulus // 2)
+        fraction = lambda b: (rng.randint(-bound, bound), b)  # noqa: E731
+        failing = next(x for x in iter(lambda: rng.randrange(modulus), None) if _rational(x, modulus) is None)
+        shared = [[fraction(b) for _ in range(8)] for b in (1, 7, rng.randint(2, bound))]
+        divisors = [[fraction(rng.choice((2, 3, 4, 6, 12))) for _ in range(8)] for _ in range(3)]
+        distinct = [[(rng.randint(-99, 99), b) for b in primes]]  # their lcm is past either bound
+        unrelated = [[fraction(rng.randint(1, bound)) for _ in range(8)] for _ in range(3)]
+        edges = [[(bound, 1), (-bound, bound), (1, bound), (0, 1)]]
+        for columns, fails in [(shared, False), (divisors, False), (distinct, False), (unrelated, False),
+                               (edges, False), (shared, True), (distinct, True)]:
+            residues = np.array([[a * pow(b, -1, modulus) % modulus for a, b in c] for c in columns], dtype=object).T
+            if fails:  # the first column's last entry and the last column's first
+                residues[-1, 0] = failing
+                residues[0, -1] = failing
+            pivots, free = list(range(len(residues))), [len(residues) + j for j in range(len(columns))]
+            args = residues, modulus, pivots, free, len(pivots) + len(free)
+            want = integer_kernel_per_entry(*args)
+            assert (want is None) == fails
+            got = _integer_kernel(*args)
+            assert got is None if fails else got.tolist() == want.tolist()
+    # past the bound the lcm reads no entry: an integer x whose x * lcm is
+    # small mod the prime is still x / 1, not that small residue / lcm
+    bound, scale = isqrt(_PRIME // 2), prod(primes)
+    x = next(x for x in range(2, bound) if abs((x * scale + _PRIME // 2) % _PRIME - _PRIME // 2) <= bound)
+    column = [pow(b, -1, _PRIME) for b in primes] + [x]
+    kernel = _integer_kernel(np.array([column], dtype=object).T, _PRIME, list(range(len(column))), [len(column)], len(column) + 1)
+    assert kernel[-2, 0] == x * kernel[-1, 0]
+
+
 def test_kernel_primes_are_distinct_primes_below_2_31():
     assert _PRIMES[0] == _PRIME
     assert len(set(_PRIMES)) == len(_PRIMES)
@@ -555,19 +593,25 @@ def test_echelon_mod_prime_equals_the_stepwise_reference(monkeypatch, reduce_eve
     # every 2 pivots runs the periodic reduction of the trailing block on
     # matrices far smaller than _REDUCE_EVERY
     monkeypatch.setattr(lefschetz.oracle, "_REDUCE_EVERY", reduce_every)
-    kinds = Counter()
+    kinds, exchanging = Counter(), Counter()
     for matrix in _echelon_cases():
         given = matrix.copy()
         pivots, echelon = _echelon_mod_prime(matrix, _PRIME)
         assert np.array_equal(matrix, given)  # the argument is left unchanged
-        want_pivots, want_echelon = echelon_mod_prime_stepwise(matrix.copy(), _PRIME)
+        want_pivots, want_echelon, exchanges = echelon_mod_prime_stepwise(matrix.copy(), _PRIME)
         assert pivots == want_pivots
         assert echelon.dtype == want_echelon.dtype
         assert np.array_equal(echelon, want_echelon)
         sparse = np.count_nonzero(matrix) <= 0.2 * matrix.size
-        kinds[sparse, matrix.shape[0] > matrix.shape[1], len(pivots) < min(matrix.shape)] += 1
+        rows, cols = matrix.shape
+        kinds[sparse, rows > cols, len(pivots) < min(rows, cols)] += 1
+        if exchanges:
+            exchanging["sparse" if sparse else "dense"] += 1
+            exchanging["tall" if rows > cols else "wide" if rows < cols else "square"] += 1
     # sparse and dense, tall and wide, each both of full rank and deficient
     assert len(kinds) == 8
+    # and each kind exchanges rows, whose tails from the pivot column are moved
+    assert {"sparse", "dense", "tall", "wide"} <= set(exchanging), exchanging
 
 
 def _exact_table_by_factorials(bounds):
@@ -808,6 +852,21 @@ def test_free_variables_up_to_the_socle_budget_are_answered():
         assert report.slp and report.ranks.shape == (free + 6, free + 6)
     with pytest.raises(ValueError, match="a table of 1002001 entries exceeds the budget"):
         lefschetz_report(MaciSpec((2, 3, 4) + (2,) * 995, (1, 1, 1) + (0,) * 995).ideal())
+
+
+def _linked_pairs(k):
+    """k groups x^3, y^3, x*y on variables of their own."""
+    return parse_ideal(", ".join(f"x{2 * i - 1}^3, x{2 * i}^3, x{2 * i - 1}*x{2 * i}" for i in range(1, k + 1)))
+
+
+def test_clebsch_gordan_terms_are_within_the_budget():
+    # combining the strings of k linked pairs runs 980,741 terms at k = 92,
+    # within the budget, and 1,012,989 by the 93rd factor, refused before it
+    # is combined
+    report = lefschetz_report(_linked_pairs(92))
+    assert report.ranks.shape == (185, 185) and not report.slp
+    with pytest.raises(ValueError, match="^a table of 1012989 entries exceeds the budget of 1000000$"):
+        lefschetz_report(_linked_pairs(93))
 
 
 def test_report_socle_21_symmetric_spec_has_slp():
