@@ -4,31 +4,25 @@ The linear form is l = x_1 + ... + x_n; for a monomial ideal its ranks
 decide the weak and strong Lefschetz properties (see README).  Every matrix
 entry is read from one table (``_power_table``), built once per prime as
 int64 residues below 2^26.  ``_certified_rank`` eliminates each ranked cell
-once modulo the first prime (``_echelon_mod_prime``), which can only
+modulo primes in turn (``_echelon_mod_prime``), which can only
 underestimate the rank over Q, so min(dim) proves full rank; below it,
 integer kernel vectors checked over Z on residues alone give the matching
-upper bound (``_kernel_certifies``).  Only a cell whose vectors do not
-verify reads the exact table of Python ints, for fraction-free (Bareiss)
-elimination.  Floating point is never used.
+upper bound.  Floating point is never used.
 
 Most cells are never ranked, because three facts that hold for every
-standard graded Artinian algebra and every linear form imply their full
-rank from cells already proven (Migliore, Miro-Roig and Nagel, Trans. AMS
-2011, section 2): if l^t is injective on A_i, so is l^s for every s < t
-(ker l^s lies in ker l^t); if l^t : A_j -> A_{j+t} is surjective, so is
-l^s : A_{j+t-s} -> A_{j+t} for every s <= t; and if l^t is surjective from
-A_i, so it is from A_{i+1}, because A is generated in degree 1.
-
-``_scheduled_ranks`` therefore visits t from the socle degree down to 1
-and ranks only the cells whose full rank the proven ones do not imply: for
-a symmetric Hilbert function of socle degree D, the central maps
-l^(D-2i) : A_i -> A_(D-i) when they are bijective (the strong Lefschetz
-property in the narrow sense of Harima et al., LNM 2080).  A deficient
-cell is never implied, so each one is certified.  Each cell's
-``certificate`` (its ``MapRecord`` is built on demand) is one of the
-``CERT_*`` values below.  A "tensor" rank is read off the Jordan strings of
-the factors of the plan (``core.tensor_factors``) by the Clebsch-Gordan
-rule, whose terms count against the work budget (``lefschetz_report``).
+standard graded Artinian algebra and every linear form, stated in README
+(Migliore, Miro-Roig and Nagel, Trans. AMS 2011, section 2), imply their full
+rank from cells already proven.  ``_scheduled_ranks`` therefore visits t
+from the socle degree down to 1 and ranks only the cells whose full rank
+the proven ones do not imply: for a symmetric Hilbert function of socle
+degree D, the central maps l^(D-2i) : A_i -> A_(D-i) when they are
+bijective (the strong Lefschetz property in the narrow sense of Harima et
+al., LNM 2080).  A deficient cell is never implied, so each one is
+certified.  Each cell's ``certificate`` (its ``MapRecord`` is built on
+demand) is one of the ``CERT_*`` values below.  A "tensor" rank is read off
+the Jordan strings of the factors of the plan (``core.tensor_factors``) by
+the Clebsch-Gordan rule, whose terms count against the work budget
+(``lefschetz_report``).
 """
 
 from __future__ import annotations
@@ -36,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cache, lru_cache, partial
+from itertools import count
 from math import isqrt, lcm, prod
 
 import numpy as np
@@ -44,12 +39,7 @@ from .core import MonomialIdeal, check_table_size, restrict, standard_monomial_t
 from .series import HilbertSeries, ci_series, factor_series
 
 _PRIME = 67_108_859  # the largest prime below 2^26; see _REDUCE_EVERY
-# the largest primes below 2^26, for Chinese remaindering of kernel vectors;
-# their product (about 2^260) bounds the fractions rational reconstruction finds
-_PRIMES = (
-    _PRIME, 67_108_837, 67_108_819, 67_108_777, 67_108_763,
-    67_108_757, 67_108_753, 67_108_747, 67_108_739, 67_108_729,
-)
+_PRIMES = [_PRIME]  # the primes _primes has found so far, in its order
 # pivots between reductions of an elimination's trailing block (about 2^11):
 # each subtracts at most (p - 1)^2 < 2^52 from an entry in [0, p), and the
 # entry must stay above -2^63; also the products of residues summed at once
@@ -57,7 +47,6 @@ _REDUCE_EVERY = (2**63 - 1 - _PRIME) // (_PRIME - 1) ** 2
 
 CERT_MOD_P = "mod_p"  # full rank shown by elimination modulo the prime
 CERT_KERNEL = "kernel"  # rank mod p matched by kernel vectors verified over Z
-CERT_EXACT = "exact"  # rank from the fraction-free elimination fallback
 CERT_IMPLIED = "implied"  # full rank follows from another proven cell
 CERT_TENSOR = "tensor"  # from the factors' ranks by the Clebsch-Gordan rule
 
@@ -290,48 +279,73 @@ def _integer_kernel(residues, modulus, pivots, free, ncols):
     return kernel
 
 
+def _primes():
+    """The primes below 2^26 from ``_PRIME`` down, read by elimination, Chinese
+    remaindering and checks over Z: ``_PRIMES``, then each next odd prime
+    below its last, found once per process by trial division and kept there."""
+    for k in count():
+        if k == len(_PRIMES):
+            n = _PRIMES[-1] - 2
+            while not all(n % d for d in range(3, isqrt(n) + 1, 2)):
+                n -= 2
+            _PRIMES.append(n)
+        yield _PRIMES[k]
+
+
 def _vanishes(cell, table, bound, kernel) -> bool:
     """Whether the matrix M that ``cell`` indexes times the integer ``kernel`` K is 0 over Z.
 
     With entries of M at most ``bound`` in absolute value, M K = 0 once it
-    vanishes modulo primes of ``_PRIMES`` whose product exceeds c * bound *
+    vanishes modulo primes of ``_primes()`` whose product exceeds c * bound *
     max|K| for c columns.  Mod each prime q, ``table(q)[cell]`` times K mod
     q is summed in int64 over ``_REDUCE_EVERY`` columns at a time, so no sum
-    of products below 2^52 wraps.  False if the primes run out first.
+    of products below 2^52 wraps.
     """
     limit = cell.shape[1] * bound * max(map(abs, kernel.flat))
     modulus = 1
-    for q in _PRIMES:
+    for q in _primes():
         if modulus > limit:
             return True
         M, K, n = table(q)[cell], (kernel % q).astype(np.int64), _REDUCE_EVERY
         if (sum(M[:, j : j + n] @ K[j : j + n] % q for j in range(0, len(K), n)) % q).any():
             return False
         modulus *= q
-    return False
 
 
-def _kernel_certifies(cell, table, bound, pivots, echelon) -> bool:
-    """Whether integer kernel vectors prove the cell's matrix has rank len(pivots) over Q.
+def _certified_rank(cell, table, bound):
+    """Rank over Q of the matrix that ``cell`` indexes in the tables ``table(p)``, and its certificate.
 
-    ``cell`` indexes, in the tables ``table(p)``, a matrix with no more
-    columns than rows, whose entries are at most ``bound``; ``pivots`` and
-    ``echelon`` are its row echelon form mod the first prime of ``_PRIMES``.
-    Mod each prime in turn (the later ones eliminate their own residues of
-    the cell), ``_kernel_mod_prime`` gives one kernel vector per free column;
-    the residues of all primes so far are combined by Chinese remaindering
-    and lifted to integer vectors (``_integer_kernel``), independent by
-    their identity block on the free columns.  Once
-    the matrix times them is 0 over Z (``_vanishes``), its rank is at most
-    len(pivots) (Kaltofen, Nehring and Saunders, ISSAC 2011).  False when a
-    later prime gives other pivots or no vectors verify.
+    The matrix has entries at most ``bound`` and is taken in the orientation
+    with no more columns than rows.  Each prime of ``_primes()`` eliminates
+    it in turn, and full rank is ``mod_p``.  Otherwise the pivots are keyed
+    (-len(pivots), pivots): a key below every earlier one restarts the
+    Chinese remaindering of kernel residues (``_kernel_mod_prime``) from
+    this prime, an equal key adds its residues, and a larger one is skipped.
+    The residues are lifted to integer vectors (``_integer_kernel``),
+    independent by their identity block on the free columns; once the
+    matrix times them is 0 over Z (``_vanishes``), its rank is at most
+    len(pivots), which the elimination shows is at least len(pivots):
+    ``kernel`` (Kaltofen, Nehring and Saunders, ISSAC 2011).
+
+    The loop ends.  Mod p the rank of each leading block of columns can only
+    fall, so the pivot columns over Q, the elementwise least, have the least
+    key, and all but the finitely many primes that divide a nonzero minor of
+    the cell give them.  Those primes share the reduced echelon form over Q,
+    so reconstruction and the check succeed once their product is large
+    enough.
     """
-    first, residues, modulus = pivots, 0, 1
-    for p in _PRIMES:
-        if p != _PRIME:
-            pivots, echelon = _echelon_mod_prime(table(p)[cell], p)
-            if pivots != first:
-                return False
+    if cell.shape[1] > cell.shape[0]:
+        cell = cell.T
+    least, residues, modulus = (1,), 0, 1  # (1,) is above every key
+    for p in _primes():
+        pivots, echelon = _echelon_mod_prime(table(p)[cell], p)
+        if len(pivots) == cell.shape[1]:
+            return len(pivots), CERT_MOD_P
+        key = (-len(pivots), pivots)
+        if key > least:
+            continue
+        if key < least:
+            least, residues, modulus = key, 0, 1
         free, block = _kernel_mod_prime(pivots, echelon, p)
         block = block.astype(object)
         # the residues mod modulus * p that match those of every prime so far
@@ -339,33 +353,7 @@ def _kernel_certifies(cell, table, bound, pivots, echelon) -> bool:
         modulus *= p
         kernel = _integer_kernel(residues, modulus, pivots, free, cell.shape[1])
         if kernel is not None and _vanishes(cell, table, bound, kernel):
-            return True
-    return False
-
-
-def _certified_rank(cell, table, bound, i, t):
-    """Rank over Q of the cell of l^t on degree i, and its certificate.
-
-    ``cell`` indexes the cell in the flat tables ``table(p)`` of
-    ``_power_table``, with entries at most ``bound``.  It is
-    eliminated once mod ``_PRIME``, in the orientation with no more columns
-    than rows; below full rank, that echelon form seeds ``_kernel_certifies``,
-    and only Bareiss, the last resort, reads ``table(None)``.
-    """
-    if cell.shape[1] > cell.shape[0]:
-        cell = cell.T
-    pivots, echelon = _echelon_mod_prime(table(_PRIME)[cell], _PRIME)
-    rank = len(pivots)
-    if rank == cell.shape[1]:
-        return rank, CERT_MOD_P
-    if _kernel_certifies(cell, table, bound, pivots, echelon):
-        return rank, CERT_KERNEL
-    exact_rank = matrix_rank(table(None)[cell].tolist())
-    if exact_rank < rank:
-        raise HypothesisViolation(
-            f"exact rank {exact_rank} of l^{t} on degree {i} is below its rank mod p, {rank}"
-        )
-    return exact_rank, CERT_EXACT
+            return len(pivots), CERT_KERNEL
 
 
 @dataclass
@@ -379,7 +367,7 @@ class MapRecord:
     rank: int
     full_rank: bool = field(init=False)
     reason: str = field(init=False)
-    certificate: str  # one of CERT_MOD_P, CERT_KERNEL, CERT_EXACT, CERT_IMPLIED, CERT_TENSOR
+    certificate: str  # one of CERT_MOD_P, CERT_KERNEL, CERT_IMPLIED, CERT_TENSOR
     implied_by: object = None  # (i, t) of the proven cell implying this one
 
     def __post_init__(self):
@@ -477,7 +465,7 @@ def _scheduled_ranks(ideal):
             else:
                 cell = center + keys[i + t][:, None] - keys[i]
                 # every entry of l^t is a multinomial of (x_1 + ... + x_n)^t, at most n^t
-                rank, certificate = _certified_rank(cell, table, ideal.n**t, i, t)
+                rank, certificate = _certified_rank(cell, table, ideal.n**t)
                 proofs[i, t] = (certificate, None)
             ranks[i, i + t] = rank
             # a full-rank square cell is bijective and proves both directions

@@ -37,7 +37,6 @@ from lefschetz.classify import (
 from lefschetz.cli import _survey_one, survey_rows
 from lefschetz.oracle import (
     _PRIME,
-    CERT_EXACT,
     CERT_MOD_P,
     _echelon_mod_prime,
     _power_table,
@@ -373,9 +372,10 @@ def lefschetz_report_all_cells(ideal):
     """Reference report that ranks every cell l^t : A_i -> A_{i+t}, i + t <= socle.
 
     Each cell is ranked mod p and, below full rank, again by Bareiss
-    elimination; nothing is implied.  Records come in (t, i) order, like
-    lefschetz_report's, and the witnesses, wlp and slp are read off them
-    here, cell by cell, with no verdict code of the oracle's.
+    elimination, which the record names "exact"; nothing is implied.
+    Records come in (t, i) order, like lefschetz_report's, and the
+    witnesses, wlp and slp are read off them here, cell by cell, with no
+    verdict code of the oracle's.
     """
     keys, tables, center = _power_table(ideal)
     table = tables(None)
@@ -395,7 +395,7 @@ def lefschetz_report_all_cells(ideal):
                     raise HypothesisViolation(
                         f"exact rank {exact} of l^{t} on degree {i} is below its rank mod p, {rank}"
                     )
-                rank, certificate = exact, CERT_EXACT
+                rank, certificate = exact, "exact"
             maps.append(MapRecord(i, t, len(keys[i]), len(keys[i + t]), rank, certificate))
     witnesses = [(rec.i, rec.t) for rec in maps if rec.rank < min(rec.dim_src, rec.dim_tgt)]
     return SimpleNamespace(

@@ -4,6 +4,7 @@ import json
 import time
 from collections import Counter
 from functools import lru_cache
+from itertools import islice
 from math import factorial, isqrt, prod
 
 import numpy as np
@@ -13,7 +14,6 @@ import lefschetz.oracle
 import lefschetz.series
 from lefschetz import (
     HilbertSeries,
-    HypothesisViolation,
     MaciSpec,
     Monomial,
     MonomialIdeal,
@@ -32,13 +32,13 @@ from lefschetz.cli import survey_rows
 from lefschetz.core import tensor_factors
 from lefschetz.oracle import (
     _PRIME,
-    _PRIMES,
     _REDUCE_EVERY,
     _certified_rank,
     _echelon_mod_prime,
     _free_strings,
     _integer_kernel,
     _power_table,
+    _primes,
     _rational,
 )
 from _util import (
@@ -62,6 +62,7 @@ from _util import (
 )
 
 TOGLIATTI = parse_ideal("x1^3, x2^3, x3^3, x1*x2*x3")
+FIRST_PRIMES = list(islice(_primes(), 10))  # the oracle's first ten primes
 
 
 def test_matrix_square_of_form_on_two_squares():
@@ -195,7 +196,7 @@ def test_report_cells_never_touch_the_zero_space():
     for ideal in ideals:
         for rec in lefschetz_report(ideal).maps:
             assert rec.dim_src >= 1 and rec.dim_tgt >= 1, (ideal, rec)
-            assert rec.certificate in ("mod_p", "kernel", "exact", "implied", "tensor"), (ideal, rec)
+            assert rec.certificate in ("mod_p", "kernel", "implied", "tensor"), (ideal, rec)
 
 
 def test_report_reason_bookkeeping():
@@ -350,21 +351,11 @@ def _unlucky_first_prime(monkeypatch, p):
     """Patch the oracle's first prime to a small p, which loses the rank of
     some cells of full rank over Q; the later primes stay as they are."""
     monkeypatch.setattr(lefschetz.oracle, "_PRIME", p)
-    monkeypatch.setattr(lefschetz.oracle, "_PRIMES", (p,) + _PRIMES[1:])
-
-
-def test_report_raises_when_exact_rank_undershoots(monkeypatch, fresh_components):
-    # the exact rank can never fall below the rank mod p; if it does, the
-    # report must refuse even when assertions are compiled out.  An unlucky
-    # first prime is what sends a cell to the Bareiss fallback.
-    _unlucky_first_prime(monkeypatch, 3)
-    monkeypatch.setattr(lefschetz.oracle, "matrix_rank", lambda matrix: 0)
-    with pytest.raises(HypothesisViolation):
-        lefschetz_report(TOGLIATTI)
+    monkeypatch.setattr(lefschetz.oracle, "_PRIMES", [p] + FIRST_PRIMES[1:])
 
 
 def _count_bareiss(monkeypatch):
-    """Patch the Bareiss fallback to record each matrix it ranks."""
+    """Patch the oracle's Bareiss elimination to record each matrix it ranks."""
     calls = []
     bareiss = lefschetz.oracle.matrix_rank
 
@@ -390,35 +381,37 @@ def test_report_certifies_deficient_cells_by_kernel_vectors(monkeypatch, fresh_c
 
 
 @pytest.mark.parametrize("prime", [2, 3])
-def test_report_falls_back_to_bareiss_after_an_unlucky_prime(monkeypatch, fresh_components, prime):
-    # cells of full rank over Q lose rank mod a tiny first prime; their
-    # kernel vectors cannot verify, the next prime moves their pivots, and
-    # Bareiss ranks them from the exact table, built once.  The reference
-    # keeps the real first prime.
-    want = lefschetz_report_all_cells(TOGLIATTI)
+def test_report_recovers_the_ranks_after_an_unlucky_first_prime(monkeypatch, fresh_components, prime):
+    # cells of full rank over Q lose rank mod a tiny first prime; later
+    # primes rank them, from residues alone, with no Bareiss elimination.
+    # The reference keeps the real first prime.
+    ideals = [TOGLIATTI, MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal()]
+    wants = [lefschetz_report_all_cells(ideal) for ideal in ideals]
     _unlucky_first_prime(monkeypatch, prime)
     calls = _count_bareiss(monkeypatch)
-    built = _exact_tables_built(monkeypatch)
-    got = lefschetz_report(TOGLIATTI)
-    exact = [r.certificate for r in got.maps].count("exact")
-    assert len(calls) == exact >= 1
-    assert built == [(3, 3, 3)]
-    assert _record_keys(got) == _record_keys(want)
-    assert got.witnesses == want.witnesses == [(2, 1)]
+    _exact_tables_built(monkeypatch, forbid=True)
+    for ideal, want in zip(ideals, wants):
+        got = lefschetz_report(ideal)
+        assert _record_keys(got) == _record_keys(want), ideal
+        assert got.witnesses == want.witnesses
+        keys, table, center = _power_table(ideal)
+        cells = [center + keys[r.i + r.t][:, None] - keys[r.i] for r in got.maps if r.certificate == "mod_p"]
+        assert any(len(_echelon_mod_prime(table(prime)[cell], prime)[0]) < min(cell.shape) for cell in cells)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
     "ideal, prime, path",
     [
         (MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal(), None, "kernel"),
-        (TOGLIATTI, 3, "exact"),
+        (TOGLIATTI, 3, "mod_p"),
     ],
 )
 def test_report_eliminates_each_ranked_cell_once_mod_the_first_prime(
     monkeypatch, fresh_components, ideal, prime, path
 ):
-    # the kernel certificate starts from the rank step's echelon form, and
-    # only its later primes eliminate again; prime None keeps the real one
+    # only later primes eliminate a cell again, for its kernel vectors or
+    # for a rank the first prime lost; prime None keeps the real one
     if prime is not None:
         _unlucky_first_prime(monkeypatch, prime)
     primes = []
@@ -430,7 +423,7 @@ def test_report_eliminates_each_ranked_cell_once_mod_the_first_prime(
 
     monkeypatch.setattr(lefschetz.oracle, "_echelon_mod_prime", recorded)
     report = lefschetz_report(ideal)
-    ranked = [r.certificate for r in report.maps if r.certificate in {"mod_p", "kernel", "exact"}]
+    ranked = [r.certificate for r in report.maps if r.certificate in {"mod_p", "kernel"}]
     assert path in ranked
     assert primes.count(lefschetz.oracle._PRIME) == len(ranked)
 
@@ -446,16 +439,15 @@ def _one_cell(matrix):
 
 def _certify(matrix):
     """(rank, certificate) of a small integer matrix."""
-    return _certified_rank(*_one_cell(matrix), 0, 1)
+    return _certified_rank(*_one_cell(matrix))
 
 
-def test_kernel_certificate_gives_up_rather_than_understate():
+def test_certified_rank_reads_past_a_prime_that_understates():
     # rank 2 over Q but rank 1 mod the first prime: the kernel vector (1, 0)
-    # is not a kernel vector over Z and the second prime has other pivots,
-    # so Bareiss ranks it
+    # is not a kernel vector over Z, and the second prime has full rank
     matrix = [[_PRIME, 0], [0, 1]]
     assert len(_echelon_mod_prime(np.array(matrix, dtype=np.int64) % _PRIME, _PRIME)[0]) == 1
-    assert _certify(matrix) == (2, "exact")
+    assert _certify(matrix) == (2, "mod_p")
     # rank 1 in either orientation; more columns than rows means the
     # transpose is the one whose kernel is taken
     assert _certify([[2, 4], [1, 2], [-3, -6]]) == (1, "kernel")
@@ -476,7 +468,35 @@ def test_kernel_certificate_combines_primes(monkeypatch):
 
     monkeypatch.setattr(lefschetz.oracle, "_kernel_mod_prime", recorded)
     assert _certify([[a, b], [2 * a, 2 * b], [0, 0]]) == (1, "kernel")
-    assert primes == list(_PRIMES[:2])
+    assert primes == FIRST_PRIMES[:2]
+
+
+def test_certified_rank_restarts_on_a_prime_with_lesser_pivots(monkeypatch):
+    # rank 2 over Q, pivot columns [0, 1].  Mod the first prime the rank is
+    # right but the pivots are [0, 2], and that prime's kernel vector
+    # (-1, 1, 0) fails the check over Z; only restarting from the next
+    # prime's [0, 1], and then adding the primes that tie with it, can end
+    # the loop, which is cut after ten primes rather than left to run
+    matrix = [[1, 1, 0], [0, _PRIME, 1], [0, 0, 0]]
+    cell, table, bound = _one_cell(matrix)
+    pivots, echelon = _echelon_mod_prime(table(_PRIME)[cell], _PRIME)
+    assert pivots == [0, 2]
+    free, block = lefschetz.oracle._kernel_mod_prime(pivots, echelon, _PRIME)
+    assert (free, block.tolist()) == ([1], [[_PRIME - 1], [0]])
+    assert not lefschetz.oracle._vanishes(cell, table, bound, np.array([[-1], [1], [0]], dtype=object))
+    q = FIRST_PRIMES[1]
+    assert _echelon_mod_prime(table(q)[cell], q)[0] == [0, 1]
+    primes = []
+    echelon_mod_prime = lefschetz.oracle._echelon_mod_prime
+
+    def cut(matrix, p):
+        primes.append(p)
+        if len(primes) > 10:
+            raise AssertionError("ten primes gave no certificate")
+        return echelon_mod_prime(matrix, p)
+
+    monkeypatch.setattr(lefschetz.oracle, "_echelon_mod_prime", cut)
+    assert _certified_rank(cell, table, bound) == (2, "kernel")
 
 
 def test_integer_kernel_equals_the_per_entry_reference():
@@ -484,7 +504,7 @@ def test_integer_kernel_equals_the_per_entry_reference():
     # every entry reconstructed on its own is the reference, also where the
     # lcm passes the bound or some entry has no fraction within it
     rng, primes = seeded(283), (11, 13, 17, 19, 23, 29, 31)
-    for modulus in (_PRIME, _PRIME * _PRIMES[1]):
+    for modulus in (_PRIME, _PRIME * FIRST_PRIMES[1]):
         bound = isqrt(modulus // 2)
         fraction = lambda b: (rng.randint(-bound, bound), b)  # noqa: E731
         failing = next(x for x in iter(lambda: rng.randrange(modulus), None) if _rational(x, modulus) is None)
@@ -515,17 +535,24 @@ def test_integer_kernel_equals_the_per_entry_reference():
 
 
 def test_kernel_primes_are_distinct_primes_below_2_31():
-    assert _PRIMES[0] == _PRIME
-    assert len(set(_PRIMES)) == len(_PRIMES)
-    for p in _PRIMES:
-        assert p < 2**31
-        assert all(p % d for d in range(2, isqrt(p) + 1)), p
+    # the primes below 2^26 from the largest down: the first ten written out,
+    # then every prime below them, none skipped
+    assert FIRST_PRIMES == [
+        67_108_859, 67_108_837, 67_108_819, 67_108_777, 67_108_763,
+        67_108_757, 67_108_753, 67_108_747, 67_108_739, 67_108_729,
+    ]
+    primes = list(islice(_primes(), 40))
+    assert primes[:10] == FIRST_PRIMES and primes[0] == _PRIME < 2**26
+    assert primes == sorted(set(primes), reverse=True)
+    is_prime = lambda n: all(n % d for d in range(2, isqrt(n) + 1))  # noqa: E731
+    assert all(map(is_prime, primes))
+    assert not any(is_prime(n) for n in range(primes[-1] + 1, primes[0]) if n not in primes)
 
 
 def test_delayed_reduction_cannot_overflow_int64():
-    # an entry in [0, p) loses at most (p - 1)^2 per pivot between reductions
-    assert all(p < 2**26 for p in _PRIMES)
-    assert len(_PRIMES) >= 10
+    # an entry in [0, p) loses at most (p - 1)^2 per pivot between reductions,
+    # and every prime of the stream is at most the first
+    assert _PRIME < 2**26 and max(islice(_primes(), 40)) == _PRIME
     assert _REDUCE_EVERY * (_PRIME - 1) ** 2 + _PRIME < 2**63
 
 
@@ -637,7 +664,7 @@ def test_residue_table_equals_the_exact_table_mod_p():
         _, table, _ = _power_table(ideal)
         exact = table(None)
         assert exact.tolist() == _exact_table_by_factorials(ideal.bounds)
-        for p in _PRIMES + (2, 3, 5, 7):
+        for p in FIRST_PRIMES + [2, 3, 5, 7]:
             residues = table(p)
             assert residues.dtype == np.int64
             assert residues.tolist() == (exact % p).tolist(), (ideal, p)
@@ -684,19 +711,15 @@ def _vanishes(matrix, kernel):
     return lefschetz.oracle._vanishes(*_one_cell(matrix), np.array(kernel, dtype=object))
 
 
-def test_kernel_check_reads_primes_up_to_its_bound(monkeypatch):
+def test_kernel_check_reads_primes_up_to_its_bound():
     # M K = (q1 q2, 2 q1 q2) is 0 mod the first two primes, but their
     # product is below the bound 2 * 2 * (1 + q1 q2), so a third must be read
-    q1, q2 = _PRIMES[:2]
+    q1, q2, q3 = FIRST_PRIMES[:3]
     matrix = [[1, 1], [2, 2]]
     assert _vanishes(matrix, [[1], [-1]])
-    assert _vanishes(matrix, [[q1 * q2 * _PRIMES[2]], [-q1 * q2 * _PRIMES[2]]])
+    assert _vanishes(matrix, [[q1 * q2 * q3], [-q1 * q2 * q3]])
     assert not _vanishes(matrix, [[1 + q1 * q2], [-1]])
     assert not _vanishes(matrix, [[1, 1 + q1 * q2], [-1, -1]])
-    # with no third prime the bound cannot be met, so nothing certifies
-    monkeypatch.setattr(lefschetz.oracle, "_PRIMES", (q1, q2))
-    assert not _vanishes(matrix, [[1 + q1 * q2], [-1]])
-    assert _vanishes(matrix, [[1], [-1]])
 
 
 def test_kernel_check_sums_long_columns_without_wrapping():
