@@ -23,8 +23,7 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from .analysis import coincides, is_symmetric, reflecting_degree, two_var_profile
-from .core import MAX_TABLE_ENTRIES, MAX_VAR_INDEX, Monomial, check_table_size, pure_power
-from .oracle import HypothesisViolation
+from .core import MAX_TABLE_ENTRIES, MAX_VAR_INDEX, HypothesisViolation, Monomial, check_table_size, pure_power
 from .series import HilbertSeries, MaciSpec, ci_series, compact_repr
 
 RULE_N_EQ_2 = "n_eq_2"

@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields
 
 from .analysis import is_almost_centered, is_symmetric
 from .classify import classify_maci, csm_decomposition, grid_from_json
-from .core import check_table_size, parse_ideal, render_monomial
-from .oracle import HypothesisViolation, lefschetz_report, multiplication_matrix
+from .core import HypothesisViolation, check_table_size, parse_ideal, render_monomial
+from .oracle import lefschetz_report, multiplication_matrix
 from .series import MaciSpec, hilbert_series, maci_from_ideal
 
 

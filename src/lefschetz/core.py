@@ -19,6 +19,7 @@ read that one plan.
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from itertools import compress
 from math import prod
@@ -36,7 +37,9 @@ MAX_VAR_INDEX = 10_000
 # as residues and 0.07 s and 7 MB as Python ints on a 2 GHz Xeon core; pure
 # powers a = (7, 8, 9, 10) need 62,985.
 MAX_TABLE_ENTRIES = 1_000_000
-DIGITS = "0123456789"  # str.isdigit also admits non-ASCII digits
+# one factor of ideal text and the whitespace around it; [0-9], not \d, which
+# also admits non-ASCII digits, while \s tests the characters str.isspace does
+_FACTOR = re.compile(r"\s*(?:(?P<var>x)(?P<index>[0-9]*)\s*(?:\^\s*(?P<exp>[0-9]*))?\s*)?")
 
 
 class Monomial(tuple):
@@ -167,6 +170,14 @@ class MonomialIdeal:
         return self.is_unit() or None not in self.bounds
 
 
+class HypothesisViolation(RuntimeError):
+    """A runtime proof obligation failed.
+
+    Either the implementation is wrong or the input is a genuine
+    counterexample; both must be surfaced, never suppressed.
+    """
+
+
 class IdealSyntaxError(ValueError):
     """Malformed ideal text; ``position`` is a 0-based character offset."""
 
@@ -186,63 +197,40 @@ def parse_ideal(text, n=None) -> MonomialIdeal:
         var    := "x" uint        (1-based index)
         uint   := [0-9]+          (ASCII digits only)
 
-    Whitespace is insignificant.  The variable count is ``n`` when given,
+    Whitespace may stand between any two tokens (``x`` and its index are one),
+    and the exponents of a variable repeated in a generator add; each factor
+    is one match of ``_FACTOR``.  The variable count is ``n`` when given,
     otherwise the highest index that occurs, at most MAX_VAR_INDEX; the g n
     exponents of g generators are counted against the work budget first.
     """
-    gens = []
-    pos = 0
-    length = len(text)
-
-    def skip_ws(p):
-        while p < length and text[p].isspace():
-            p += 1
-        return p
-
-    def read_uint(p, what):
-        if p >= length or text[p] not in DIGITS:
-            raise IdealSyntaxError(f"expected {what}", p)
-        q = p
-        while q < length and text[q] in DIGITS:
-            q += 1
-        return int(text[p:q]), q
-
-    pos = skip_ws(pos)
-    if pos == length:
-        raise IdealSyntaxError("empty generator list", pos)
+    if not text.strip():
+        raise IdealSyntaxError("empty generator list", len(text))
+    gens, pos = [{}], 0
     while True:
-        exps = {}
-        while True:
-            pos = skip_ws(pos)
-            if pos >= length or text[pos] != "x":
-                raise IdealSyntaxError("expected a variable like x1", pos)
-            start = pos
-            idx, pos = read_uint(pos + 1, "variable index")
-            if idx < 1:
-                raise IdealSyntaxError("variable indices are 1-based", start + 1)
-            if idx > MAX_VAR_INDEX:
-                raise IdealSyntaxError("variable index too large", start + 1)
-            exp = 1
-            pos = skip_ws(pos)
-            if pos < length and text[pos] == "^":
-                pos = skip_ws(pos + 1)
-                exp, pos = read_uint(pos, "exponent")
-            total = exps.get(idx - 1, 0) + exp
-            if total > MAX_EXPONENT:
-                raise OverflowError(f"exponent overflow near offset {pos}")
-            exps[idx - 1] = total
-            pos = skip_ws(pos)
-            if pos < length and text[pos] == "*":
-                pos += 1
-                continue
+        m = _FACTOR.match(text, pos)
+        if m["var"] is None:
+            raise IdealSyntaxError("expected a variable like x1", m.end())
+        index, exp, at = m["index"], m["exp"], m.start("index")
+        if not index:
+            raise IdealSyntaxError("expected variable index", at)
+        j = int(index) - 1
+        if j < 0:
+            raise IdealSyntaxError("variable indices are 1-based", at)
+        if j >= MAX_VAR_INDEX:
+            raise IdealSyntaxError("variable index too large", at)
+        if exp == "":
+            raise IdealSyntaxError("expected exponent", m.start("exp"))
+        gens[-1][j] = gens[-1].get(j, 0) + (1 if exp is None else int(exp))
+        if gens[-1][j] > MAX_EXPONENT:
+            end = m.end() if exp is None else m.end("exp")  # without a caret, the index's whitespace
+            raise OverflowError(f"exponent overflow near offset {end}")
+        pos = m.end()
+        if text[pos : pos + 1] == ",":
+            gens.append({})
+        elif text[pos : pos + 1] != "*":
             break
-        gens.append(exps)
-        if pos < length and text[pos] == ",":
-            pos += 1
-            continue
-        break
-    pos = skip_ws(pos)
-    if pos != length:
+        pos += 1
+    if pos != len(text):
         raise IdealSyntaxError("unexpected trailing input", pos)
 
     width = 1 + max(max(d) for d in gens)

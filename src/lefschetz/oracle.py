@@ -35,7 +35,9 @@ from math import isqrt, lcm, prod
 
 import numpy as np
 
-from .core import MonomialIdeal, check_table_size, restrict, standard_monomial_table, tensor_factors
+from .core import (
+    HypothesisViolation, MonomialIdeal, check_table_size, restrict, standard_monomial_table, tensor_factors
+)
 from .series import HilbertSeries, ci_series, factor_series
 
 _PRIME = 67_108_859  # the largest prime below 2^26; see _REDUCE_EVERY
@@ -49,14 +51,6 @@ CERT_MOD_P = "mod_p"  # full rank shown by elimination modulo the prime
 CERT_KERNEL = "kernel"  # rank mod p matched by kernel vectors verified over Z
 CERT_IMPLIED = "implied"  # full rank follows from another proven cell
 CERT_TENSOR = "tensor"  # from the factors' ranks by the Clebsch-Gordan rule
-
-
-class HypothesisViolation(RuntimeError):
-    """A runtime proof obligation failed.
-
-    Either the implementation is wrong or the input is a genuine
-    counterexample; both must be surfaced, never suppressed.
-    """
 
 
 def _multinomials(bounds, p=None):

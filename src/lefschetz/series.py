@@ -2,11 +2,11 @@
 
 A series is a dense vector of nonnegative integer coefficients together with
 a degree offset; the offset stays 0 for honest quotient algebras and records
-the grading shift of submodule slices.  ``factor_series`` is the one route
-from a factor of ``core.tensor_factors``' plan to its series, and
-``hilbert_series`` multiplies the factors' series in ``_product``, which
-alone prices and multiplies chains of series.  The constructor is the one
-place that checks and trims: sums and differences go through it, and a box
+the grading shift of submodule slices.  ``hilbert_series`` reads
+``core.tensor_factors``' plan: the free exponents give one ``ci_series``,
+``factor_series`` is the one route from any other factor to its series, and
+``_product`` alone prices and multiplies the chain.  The constructor is the
+one place that checks and trims: sums and differences go through it, and a box
 1 + ... + t^(m-1) widens a series by running sums.
 """
 
@@ -178,15 +178,13 @@ def _ci_series(exponents) -> HilbertSeries:
     return _product([1] + [a for a in exponents if a > 1])
 
 
-def factor_series(factor) -> HilbertSeries:
-    """Series of one factor of ``core.tensor_factors``' plan: the box of a free
-    variable's exponent, the MaciSpec closed form of a group with one cross
+def factor_series(group) -> HilbertSeries:
+    """Series of a factor of ``core.tensor_factors``' plan given by its ideal,
+    not a free exponent: the MaciSpec closed form of a group with one cross
     generator, else a count of the group's basis, refused over the budget."""
-    if isinstance(factor, int):
-        return ci_series((factor,))
-    if len(factor.cross) == 1 and not factor.is_unit():
-        return maci_from_ideal(factor).series()
-    return HilbertSeries([len(bucket) for bucket in standard_monomial_table(factor)])
+    if len(group.cross) == 1 and not group.is_unit():
+        return maci_from_ideal(group).series()
+    return HilbertSeries([len(bucket) for bucket in standard_monomial_table(group)])
 
 
 def hilbert_series(ideal) -> HilbertSeries:

@@ -11,6 +11,7 @@ import numpy as np
 from lefschetz import (
     HilbertSeries,
     HypothesisViolation,
+    IdealSyntaxError,
     MaciSpec,
     MapRecord,
     Monomial,
@@ -35,6 +36,7 @@ from lefschetz.classify import (
     _support_chains,
 )
 from lefschetz.cli import _survey_one, survey_rows
+from lefschetz.core import MAX_EXPONENT, MAX_VAR_INDEX, check_table_size
 from lefschetz.oracle import (
     _PRIME,
     CERT_MOD_P,
@@ -43,6 +45,7 @@ from lefschetz.oracle import (
     _rational,
 )
 
+DIGITS = "0123456789"  # str.isdigit also admits non-ASCII digits
 SHAPE_ALL_ON_TOP = "all_on_top"
 SHAPE_ALL_ON_RIGHT = "all_on_right"
 SHAPE_SLANT_1 = "slant_1"
@@ -179,6 +182,76 @@ def render_ideal(ideal):
     return ", ".join(render_monomial(g) for g in ideal.sorted_generators())
 
 
+def parse_ideal_by_scanner(text, n=None):
+    """Reference parse_ideal: the same grammar, refusals and offsets, read by
+    a character scanner, one skip_ws or read_uint step at a time."""
+    gens = []
+    pos = 0
+    length = len(text)
+
+    def skip_ws(p):
+        while p < length and text[p].isspace():
+            p += 1
+        return p
+
+    def read_uint(p, what):
+        if p >= length or text[p] not in DIGITS:
+            raise IdealSyntaxError(f"expected {what}", p)
+        q = p
+        while q < length and text[q] in DIGITS:
+            q += 1
+        return int(text[p:q]), q
+
+    pos = skip_ws(pos)
+    if pos == length:
+        raise IdealSyntaxError("empty generator list", pos)
+    while True:
+        exps = {}
+        while True:
+            pos = skip_ws(pos)
+            if pos >= length or text[pos] != "x":
+                raise IdealSyntaxError("expected a variable like x1", pos)
+            start = pos
+            idx, pos = read_uint(pos + 1, "variable index")
+            if idx < 1:
+                raise IdealSyntaxError("variable indices are 1-based", start + 1)
+            if idx > MAX_VAR_INDEX:
+                raise IdealSyntaxError("variable index too large", start + 1)
+            exp = 1
+            pos = skip_ws(pos)
+            if pos < length and text[pos] == "^":
+                pos = skip_ws(pos + 1)
+                exp, pos = read_uint(pos, "exponent")
+            total = exps.get(idx - 1, 0) + exp
+            if total > MAX_EXPONENT:
+                raise OverflowError(f"exponent overflow near offset {pos}")
+            exps[idx - 1] = total
+            pos = skip_ws(pos)
+            if pos < length and text[pos] == "*":
+                pos += 1
+                continue
+            break
+        gens.append(exps)
+        if pos < length and text[pos] == ",":
+            pos += 1
+            continue
+        break
+    pos = skip_ws(pos)
+    if pos != length:
+        raise IdealSyntaxError("unexpected trailing input", pos)
+
+    width = 1 + max(max(d) for d in gens)
+    if n is None:
+        n = width
+    elif n > MAX_VAR_INDEX:
+        raise ValueError(f"the declared variable count {n} exceeds {MAX_VAR_INDEX}")
+    elif width > n:
+        raise ValueError(f"text uses x{width} but the declared variable count is {n}")
+    check_table_size((len(gens), n))
+    mons = [Monomial(tuple(d.get(i, 0) for i in range(n))) for d in gens]
+    return MonomialIdeal(n, mons)
+
+
 def plus_monomial(ideal, m):
     """The ideal I + (m)."""
     return MonomialIdeal(ideal.n, list(ideal.generators) + [Monomial(m)])
@@ -238,6 +311,31 @@ def separate_components(rng):
         for _ in range(rng.randint(1, 2)):
             gens.append([rng.randint(1, a - 1) if j in group else 0 for j, a in enumerate(bounds)])
     return MonomialIdeal(n, gens)
+
+
+IDEAL_TEXT_TOKENS = ("x", "1", "2", "0", "^", "*", ",", " ", "\t", "\u3000", "\x1c", "\u0661", "y")
+
+
+def rand_ideal_text(rng):
+    """Ideal text that is mostly grammatical: factors with indices 0, 10,000
+    and 10,001, exponents up to 2^63 - 1 and ASCII and Unicode whitespace
+    around every token, then up to two tokens inserted, deleted or replaced."""
+    ws = lambda: rng.choice(["", "", " ", "\t", "\u3000", "\x1c", "\n "])
+    num = lambda *rare: rng.choice(rare if rng.random() < 0.1 else ("1", "2", "3", "12", "01"))
+
+    def factor():
+        power = ws() + "^" + ws() + num("", "0", "\u0661", "9223372036854775807", "4611686018427387904")
+        return "x" + num("", "0", "\u0661", "10000", "10001") + (power if rng.random() < 0.6 else "")
+
+    gens = [
+        (ws() + "*" + ws()).join(factor() for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 3))
+    ]
+    text = list(ws() + (ws() + "," + ws()).join(gens) + ws())
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        at = rng.randrange(len(text) + 1)
+        text[at : at + rng.randint(0, 1)] = [rng.choice(IDEAL_TEXT_TOKENS)] * rng.randint(0, 1)
+    return "".join(text)
 
 
 def rand_maci(rng, n, max_exp=6):

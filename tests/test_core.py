@@ -31,8 +31,10 @@ from _util import (
     hilbert_series_by_counting,
     is_pure_power,
     minimalize_pairwise,
+    parse_ideal_by_scanner,
     plus_monomial,
     rand_artinian_ideal,
+    rand_ideal_text,
     rand_maci,
     rand_monomial,
     rand_series,
@@ -190,6 +192,84 @@ def test_unit_monomial_absorbs_every_generator():
     ideal = MonomialIdeal(3, gens)
     assert ideal.bounds == (None, None, None) and ideal.cross == (unit,)
     assert ideal.is_unit() and ideal.is_artinian()
+
+
+MAX_EXP = "9223372036854775807"  # 2^63 - 1, the largest exponent
+
+
+@pytest.mark.parametrize(
+    "text, kind, message, position",
+    [
+        ("", IdealSyntaxError, "empty generator list", 0),
+        ("   ", IdealSyntaxError, "empty generator list", 3),
+        ("x1^2,", IdealSyntaxError, "expected a variable like x1", 5),
+        ("  y1^2", IdealSyntaxError, "expected a variable like x1", 2),
+        ("x 1", IdealSyntaxError, "expected variable index", 1),
+        ("x\u0661^2", IdealSyntaxError, "expected variable index", 1),
+        ("x0", IdealSyntaxError, "variable indices are 1-based", 1),
+        ("x1^2, x0", IdealSyntaxError, "variable indices are 1-based", 7),
+        ("x10001", IdealSyntaxError, "variable index too large", 1),
+        ("x1^^2", IdealSyntaxError, "expected exponent", 3),
+        ("x1^ ,", IdealSyntaxError, "expected exponent", 4),
+        ("x1 x2", IdealSyntaxError, "unexpected trailing input", 3),
+        ("x1^2 ,x2 ; ", IdealSyntaxError, "unexpected trailing input", 9),
+        (f"x1^{MAX_EXP}*x1", OverflowError, "exponent overflow", 25),
+        (f"x1^{MAX_EXP} * x1  , x2", OverflowError, "exponent overflow", 29),
+        (f"x2 *x2^ {MAX_EXP}\t", OverflowError, "exponent overflow", 27),
+    ],
+    ids=lambda value: repr(value) if isinstance(value, str) else None,
+)
+def test_parse_refusal_names_its_type_message_and_offset(text, kind, message, position):
+    with pytest.raises(kind) as exc:
+        parse_ideal(text)
+    assert type(exc.value) is kind
+    if kind is IdealSyntaxError:
+        assert str(exc.value) == f"{message} at offset {position}" and exc.value.position == position
+    else:
+        assert str(exc.value) == f"{message} near offset {position}"
+
+
+@pytest.mark.parametrize(
+    "text, generators",
+    [
+        (" \t x1 ^ 2 *\nx2\u3000,\x1cx3^\u30003 ", [(2, 1, 0), (0, 0, 3)]),
+        ("x1*x1^2", [(3,)]),
+        ("x02^007, x1", [(0, 7), (1, 0)]),
+        (f"x1^{MAX_EXP}", [(2**63 - 1,)]),
+    ],
+    ids=repr,
+)
+def test_parse_admits_whitespace_between_tokens_and_adds_repeated_exponents(text, generators):
+    assert parse_ideal(text).generators == frozenset(map(Monomial, generators))
+
+
+def _parse_outcome(parse, text):
+    try:
+        ideal = parse(text)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return ideal.n, ideal.generators
+
+
+def test_parse_agrees_with_the_scanner_on_random_text():
+    # the same ideal, or the same exception type, message and offset
+    rng = seeded(37)
+    seen = set()
+    for _ in range(3000):
+        text = rand_ideal_text(rng)
+        got = _parse_outcome(parse_ideal, text)
+        assert got == _parse_outcome(parse_ideal_by_scanner, text), repr(text)
+        seen.add(got[1].split(" at offset")[0].split(" near")[0] if type(got[0]) is type else "parsed")
+    assert seen >= {
+        "parsed",
+        "expected a variable like x1",
+        "expected variable index",
+        "variable indices are 1-based",
+        "variable index too large",
+        "expected exponent",
+        "unexpected trailing input",
+        "exponent overflow",
+    }
 
 
 def test_ideal_of_many_vanishing_variables_builds_fast():
@@ -353,9 +433,11 @@ def test_factor_plan_splits_the_quotient_and_routes_each_factor():
         for part, f in plan:
             if len(part) == 1 and part[0] in surviving:
                 assert type(f) is int and f == ideal.bounds[part[0]] >= 2, ideal
+                got = ci_series((f,))
             else:
                 assert f == restrict(ideal, part), ideal
-            assert factor_series(f) == hilbert_series_by_counting(restrict(ideal, part)), (ideal, part)
+                got = factor_series(f)
+            assert got == hilbert_series_by_counting(restrict(ideal, part)), (ideal, part)
 
 
 def test_hilbert_series_multiplies_factors_that_check_answers():
