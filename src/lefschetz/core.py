@@ -186,6 +186,13 @@ class IdealSyntaxError(ValueError):
         self.position = position
 
 
+def _digits_value(digits, most):
+    """The value of a run of ASCII digits, or most + 1 if it has more digits
+    than most after its leading zeros, so no run too long reaches int()."""
+    digits = digits.lstrip("0")
+    return most + 1 if len(digits) > len(str(most)) else int(digits or 0)
+
+
 def parse_ideal(text, n=None) -> MonomialIdeal:
     """Parse ``"x1^3, x2^3, x1*x2"`` style text into a MonomialIdeal.
 
@@ -213,14 +220,14 @@ def parse_ideal(text, n=None) -> MonomialIdeal:
         index, exp, at = m["index"], m["exp"], m.start("index")
         if not index:
             raise IdealSyntaxError("expected variable index", at)
-        j = int(index) - 1
+        j = _digits_value(index, MAX_VAR_INDEX) - 1
         if j < 0:
             raise IdealSyntaxError("variable indices are 1-based", at)
         if j >= MAX_VAR_INDEX:
             raise IdealSyntaxError("variable index too large", at)
         if exp == "":
             raise IdealSyntaxError("expected exponent", m.start("exp"))
-        gens[-1][j] = gens[-1].get(j, 0) + (1 if exp is None else int(exp))
+        gens[-1][j] = gens[-1].get(j, 0) + (1 if exp is None else _digits_value(exp, MAX_EXPONENT))
         if gens[-1][j] > MAX_EXPONENT:
             end = m.end() if exp is None else m.end("exp")  # without a caret, the index's whitespace
             raise OverflowError(f"exponent overflow near offset {end}")

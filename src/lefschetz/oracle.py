@@ -3,26 +3,21 @@
 The linear form is l = x_1 + ... + x_n; for a monomial ideal its ranks
 decide the weak and strong Lefschetz properties (see README).  Every matrix
 entry is read from one table (``_power_table``), built once per prime as
-int64 residues below 2^26.  ``_certified_rank`` eliminates each ranked cell
-modulo primes in turn (``_echelon_mod_prime``), which can only
-underestimate the rank over Q, so min(dim) proves full rank; below it,
+int64 residues below 2^26.  For each prime it reads, ``_certified_rank``
+has a ranked cell's residues gathered afresh from its two key vectors
+(``_cell_residues``) and eliminates them in place (``_echelon_mod_prime``),
+so a cell is held as one residue array at a time.  Elimination mod p can
+only underestimate the rank over Q, so min(dim) proves full rank; below it,
 integer kernel vectors checked over Z on residues alone give the matching
 upper bound.  Floating point is never used.
 
-Most cells are never ranked, because three facts that hold for every
-standard graded Artinian algebra and every linear form, stated in README
-(Migliore, Miro-Roig and Nagel, Trans. AMS 2011, section 2), imply their full
-rank from cells already proven.  ``_scheduled_ranks`` therefore visits t
-from the socle degree down to 1 and ranks only the cells whose full rank
-the proven ones do not imply: for a symmetric Hilbert function of socle
-degree D, the central maps l^(D-2i) : A_i -> A_(D-i) when they are
-bijective (the strong Lefschetz property in the narrow sense of Harima et
-al., LNM 2080).  A deficient cell is never implied, so each one is
-certified.  Each cell's ``certificate`` (its ``MapRecord`` is built on
-demand) is one of the ``CERT_*`` values below.  A "tensor" rank is read off
-the Jordan strings of the factors of the plan (``core.tensor_factors``) by
-the Clebsch-Gordan rule, whose terms count against the work budget
-(``lefschetz_report``).
+``_scheduled_ranks`` ranks only the cells whose full rank the proven ones
+do not imply by three facts stated in README (Migliore, Miro-Roig and
+Nagel, Trans. AMS 2011, section 2); a deficient cell is never implied, so
+each one is certified.  Each cell's ``certificate`` is one of the
+``CERT_*`` values below.  A "tensor" rank is read off the Jordan strings of
+the factors of the plan (``core.tensor_factors``) by the Clebsch-Gordan
+rule (``lefschetz_report``).
 """
 
 from __future__ import annotations
@@ -46,6 +41,7 @@ _PRIMES = [_PRIME]  # the primes _primes has found so far, in its order
 # each subtracts at most (p - 1)^2 < 2^52 from an entry in [0, p), and the
 # entry must stay above -2^63; also the products of residues summed at once
 _REDUCE_EVERY = (2**63 - 1 - _PRIME) // (_PRIME - 1) ** 2
+_GATHER = 2**20  # the most entries of gather index a ranked cell holds at once
 
 CERT_MOD_P = "mod_p"  # full rank shown by elimination modulo the prime
 CERT_KERNEL = "kernel"  # rank mod p matched by kernel vectors verified over Z
@@ -162,23 +158,21 @@ def matrix_rank(matrix) -> int:
     return rank
 
 
-def _echelon_mod_prime(matrix, p):
-    """Pivot columns and nonzero rows of a row echelon form of an int64 matrix over F_p.
+def _echelon_mod_prime(A, p):
+    """Pivot columns and nonzero rows of a row echelon form over F_p of an int64 matrix.
 
-    ``matrix`` has entries in [0, p) and is left unchanged; every pivot is
-    scaled to 1 and the rows are reduced mod p.  Reduction is delayed (Dumas,
-    Giorgi and Pernet, ACM TOMS 2008): each step reduces the pivot column, to
-    find the pivot, and the pivot row, to scale it in place, and subtracts
-    their outer product, unreduced and in place, from the contiguous slab of
-    rows from the first to the last one below with a nonzero in the pivot
-    column; a row in between loses exactly 0.  An update lowers an entry by
-    at most (p - 1)^2, so the block is reduced every ``_REDUCE_EVERY``
-    pivots, before int64 could wrap.  Entries left of the pivot column are
-    exactly 0 from the pivot row down, so a pivot found lower is moved up by
-    exchanging the two rows' tails from that column alone; the loop ends
-    once every row holds a pivot.
+    ``A`` has entries in [0, p) and is eliminated in place: the echelon rows
+    are its leading rows, each pivot scaled to 1 and each row reduced mod p.
+    Reduction is delayed (Dumas, Giorgi and Pernet, ACM TOMS 2008): a step
+    reduces the pivot column and row and subtracts their outer product,
+    unreduced, from the contiguous slab of rows from the first to the last
+    one below with a nonzero in the pivot column (a row in between loses
+    exactly 0); an update lowers an entry by at most (p - 1)^2, so the block
+    is reduced every ``_REDUCE_EVERY`` pivots, before int64 could wrap.
+    Entries left of the pivot column are 0 from the pivot row down, so a
+    pivot found lower is moved up by exchanging the two rows' tails from
+    that column alone; the loop ends once every row holds a pivot.
     """
-    A = matrix.copy()
     product = np.empty(A.size, dtype=A.dtype)  # every step's outer product, in one buffer
     pivots = []
     for col in range(A.shape[1]):
@@ -213,17 +207,16 @@ def _kernel_mod_prime(pivots, echelon, p):
     The basis has one vector per free column j: 1 there, 0 in the other
     free columns and -R[k, j] in pivot column k, where R is the reduced row
     echelon form.  Only its entries in the pivot columns are returned, one
-    column per free column: back substitution through the unit triangle of
-    the echelon form on the free columns alone gives R's free columns, one
-    final row at a time subtracted unreduced from the rows above, which are
+    column per free column: back substitution through the unit triangle the
+    echelon rows hold in the pivot columns gives R's free columns, one final
+    row at a time subtracted unreduced from the rows above, which are
     reduced every ``_REDUCE_EVERY`` steps as in ``_echelon_mod_prime``.
     """
     free = sorted(set(range(echelon.shape[1])) - set(pivots))
-    triangle = echelon[:, pivots]
     X = echelon[:, free]
     for k in range(len(pivots) - 1, 0, -1):  # row k is final once every row below is subtracted
         X[k] %= p
-        X[:k] -= triangle[:k, k, None] * X[k]
+        X[:k] -= echelon[:k, pivots[k], None] * X[k]
         if (len(pivots) - k) % _REDUCE_EVERY == 0:
             X[:k] %= p
     return free, -X % p
@@ -274,9 +267,8 @@ def _integer_kernel(residues, modulus, pivots, free, ncols):
 
 
 def _primes():
-    """The primes below 2^26 from ``_PRIME`` down, read by elimination, Chinese
-    remaindering and checks over Z: ``_PRIMES``, then each next odd prime
-    below its last, found once per process by trial division and kept there."""
+    """The primes below 2^26 from ``_PRIME`` down: ``_PRIMES``, then each next
+    odd prime below its last, found once per process by trial division."""
     for k in count():
         if k == len(_PRIMES):
             n = _PRIMES[-1] - 2
@@ -286,67 +278,76 @@ def _primes():
         yield _PRIMES[k]
 
 
-def _vanishes(cell, table, bound, kernel) -> bool:
-    """Whether the matrix M that ``cell`` indexes times the integer ``kernel`` K is 0 over Z.
+def _cell_residues(table, center, rows, cols, p):
+    """A new int64 matrix of ``table(p)[center + rows[r] - cols[c]]`` at (r, c),
+    gathered through at most ``_GATHER`` index entries at a time."""
+    residues = table(p)  # built, if new, before the matrix is allocated: a lower peak
+    matrix, step = np.empty((len(rows), len(cols)), dtype=np.int64), _GATHER // len(cols) or 1
+    for r in range(0, len(rows), step):  # "clip" writes to out unbuffered and clips no index here
+        np.take(residues, center + rows[r : r + step, None] - cols, out=matrix[r : r + step], mode="clip")
+    return matrix
+
+
+def _vanishes(build, bound, kernel) -> bool:
+    """Whether M K = 0 over Z for the integer ``kernel`` K and the matrix M that ``build(q)`` gives mod q.
 
     With entries of M at most ``bound`` in absolute value, M K = 0 once it
     vanishes modulo primes of ``_primes()`` whose product exceeds c * bound *
-    max|K| for c columns.  Mod each prime q, ``table(q)[cell]`` times K mod
-    q is summed in int64 over ``_REDUCE_EVERY`` columns at a time, so no sum
-    of products below 2^52 wraps.
+    max|K| for c columns.  Each prime's residues of M, dropped before the
+    next prime's, times K mod q are summed in int64 over ``_REDUCE_EVERY``
+    columns at a time, so no sum of products below 2^52 wraps.
     """
-    limit = cell.shape[1] * bound * max(map(abs, kernel.flat))
+    limit = len(kernel) * bound * max(map(abs, kernel.flat))
     modulus = 1
     for q in _primes():
         if modulus > limit:
             return True
-        M, K, n = table(q)[cell], (kernel % q).astype(np.int64), _REDUCE_EVERY
+        M, K, n = build(q), (kernel % q).astype(np.int64), _REDUCE_EVERY
         if (sum(M[:, j : j + n] @ K[j : j + n] % q for j in range(0, len(K), n)) % q).any():
             return False
+        del M
         modulus *= q
 
 
-def _certified_rank(cell, table, bound):
-    """Rank over Q of the matrix that ``cell`` indexes in the tables ``table(p)``, and its certificate.
+def _certified_rank(build, bound):
+    """Rank over Q of the matrix that ``build(p)`` gives mod p, and its certificate.
 
-    The matrix has entries at most ``bound`` and is taken in the orientation
-    with no more columns than rows.  Each prime of ``_primes()`` eliminates
-    it in turn, and full rank is ``mod_p``.  Otherwise the pivots are keyed
-    (-len(pivots), pivots): a key below every earlier one restarts the
-    Chinese remaindering of kernel residues (``_kernel_mod_prime``) from
-    this prime, an equal key adds its residues, and a larger one is skipped.
-    The residues are lifted to integer vectors (``_integer_kernel``),
-    independent by their identity block on the free columns; once the
-    matrix times them is 0 over Z (``_vanishes``), its rank is at most
-    len(pivots), which the elimination shows is at least len(pivots):
-    ``kernel`` (Kaltofen, Nehring and Saunders, ISSAC 2011).
+    The matrix has entries at most ``bound`` and no more columns than rows.
+    Each prime of ``_primes()`` builds its residues, eliminates them in
+    place and drops them before the next are built; full rank is ``mod_p``.
+    Otherwise the pivots are keyed (-len(pivots), pivots): a key below every
+    earlier one restarts the Chinese remaindering of kernel residues
+    (``_kernel_mod_prime``) from this prime, an equal key adds its residues,
+    and a larger one is skipped.  The residues are lifted to integer vectors
+    (``_integer_kernel``), independent by their identity block on the free
+    columns; once the matrix times them is 0 over Z (``_vanishes``), its
+    rank is at most len(pivots), which the elimination shows is at least
+    len(pivots): ``kernel`` (Kaltofen, Nehring and Saunders, ISSAC 2011).
 
-    The loop ends.  Mod p the rank of each leading block of columns can only
-    fall, so the pivot columns over Q, the elementwise least, have the least
-    key, and all but the finitely many primes that divide a nonzero minor of
-    the cell give them.  Those primes share the reduced echelon form over Q,
-    so reconstruction and the check succeed once their product is large
-    enough.
+    The loop ends: mod p the rank of each leading block of columns can only
+    fall, so the pivot columns over Q have the least key, and every prime
+    but the finitely many dividing a nonzero minor gives them and the
+    reduced echelon form over Q, so reconstruction and the check succeed
+    once their product is large enough.
     """
-    if cell.shape[1] > cell.shape[0]:
-        cell = cell.T
     least, residues, modulus = (1,), 0, 1  # (1,) is above every key
     for p in _primes():
-        pivots, echelon = _echelon_mod_prime(table(p)[cell], p)
-        if len(pivots) == cell.shape[1]:
+        pivots, echelon = _echelon_mod_prime(build(p), p)
+        if len(pivots) == echelon.shape[1]:
             return len(pivots), CERT_MOD_P
+        free, block = _kernel_mod_prime(pivots, echelon, p)
+        del echelon
         key = (-len(pivots), pivots)
         if key > least:
             continue
         if key < least:
             least, residues, modulus = key, 0, 1
-        free, block = _kernel_mod_prime(pivots, echelon, p)
         block = block.astype(object)
         # the residues mod modulus * p that match those of every prime so far
         residues = residues + modulus * ((block - residues) * pow(modulus, -1, p) % p)
         modulus *= p
-        kernel = _integer_kernel(residues, modulus, pivots, free, cell.shape[1])
-        if kernel is not None and _vanishes(cell, table, bound, kernel):
+        kernel = _integer_kernel(residues, modulus, pivots, free, len(pivots) + len(free))
+        if kernel is not None and _vanishes(build, bound, kernel):
             return len(pivots), CERT_KERNEL
 
 
@@ -436,11 +437,9 @@ class LefschetzReport:
 def _scheduled_ranks(ideal):
     """Rank table and proofs of ``ideal`` by the implication-scheduled ranking.
 
-    Beyond the socle degree every target space is zero and full rank is
-    automatic, so those cells are not enumerated.  No cell has a zero source
-    or target: A_i = 0 would force A_{i+1} = A_1 A_i = 0, so the Hilbert
-    function has no internal zeros (Harima et al.).  A cell implied by a
-    proven one (see the module docstring) names it as its ``implied_by``.
+    Cells beyond the socle degree, whose targets are zero, are not
+    enumerated, and no other cell has a zero source or target (README).  A
+    cell implied by a proven one names it as its ``implied_by``.
     """
     keys, table, center = _power_table(ideal)
     h = [len(bucket) for bucket in keys]
@@ -457,9 +456,10 @@ def _scheduled_ranks(ideal):
             elif dim_src >= dim_tgt and i + t >= surjective[0]:
                 rank, proofs[i, t] = dim_tgt, (CERT_IMPLIED, surjective[1])
             else:
-                cell = center + keys[i + t][:, None] - keys[i]
+                # the cell, or its transpose center + (-keys[i]) - (-keys[i + t]): no more columns than rows
+                rows, cols = (keys[i + t], keys[i]) if dim_src <= dim_tgt else (-keys[i], -keys[i + t])
                 # every entry of l^t is a multinomial of (x_1 + ... + x_n)^t, at most n^t
-                rank, certificate = _certified_rank(cell, table, ideal.n**t)
+                rank, certificate = _certified_rank(partial(_cell_residues, table, center, rows, cols), ideal.n**t)
                 proofs[i, t] = (certificate, None)
             ranks[i, i + t] = rank
             # a full-rank square cell is bijective and proves both directions
@@ -502,9 +502,8 @@ def lefschetz_report(ideal) -> LefschetzReport:
     into [s + s' + k, e + e' - k] for k below both lengths (Clebsch-Gordan;
     see README), and the rank of l^t on A_i (h_i when t = 0) counts the
     strings with s <= i and e >= i + t.  The budget counts each group's
-    power table, then the (D + 1)^2 ranks of the socle degree D read off
-    the factors' series, all before any group is ranked, and the terms of
-    the combination so far, before each factor is combined.
+    power table and the (D + 1)^2 ranks of the socle degree D before any
+    group is ranked, and the combination's terms before each factor.
     """
     components = tensor_factors(ideal)
     if len(components) < 2:

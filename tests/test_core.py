@@ -216,6 +216,9 @@ MAX_EXP = "9223372036854775807"  # 2^63 - 1, the largest exponent
         (f"x1^{MAX_EXP}*x1", OverflowError, "exponent overflow", 25),
         (f"x1^{MAX_EXP} * x1  , x2", OverflowError, "exponent overflow", 29),
         (f"x2 *x2^ {MAX_EXP}\t", OverflowError, "exponent overflow", 27),
+        # runs past the 4,300 digits int() reads are refused before it reads them
+        pytest.param("x1" + "0" * 5000, IdealSyntaxError, "variable index too large", 1, id="5001-digit index"),
+        pytest.param("x1^" + "9" * 5000, OverflowError, "exponent overflow", 5003, id="5000-digit exponent"),
     ],
     ids=lambda value: repr(value) if isinstance(value, str) else None,
 )
@@ -236,6 +239,7 @@ def test_parse_refusal_names_its_type_message_and_offset(text, kind, message, po
         ("x1*x1^2", [(3,)]),
         ("x02^007, x1", [(0, 7), (1, 0)]),
         (f"x1^{MAX_EXP}", [(2**63 - 1,)]),
+        pytest.param("x" + "0" * 4999 + "1^" + "0" * 4999 + "2", [(2,)], id="4999 leading zeros each"),
     ],
     ids=repr,
 )

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from itertools import islice
@@ -429,17 +430,18 @@ def test_report_eliminates_each_ranked_cell_once_mod_the_first_prime(
 
 
 def _one_cell(matrix):
-    """A small integer matrix as (cell, table, bound) of a one-cell table,
-    its entry bound the largest absolute value of an entry."""
-    table = np.array(matrix, dtype=object)
-    cell = np.arange(table.size).reshape(table.shape)
-    table = table.ravel()
-    return cell, lambda p: table if p is None else (table % p).astype(np.int64), max(map(abs, table))
+    """A small integer matrix as (residues, bound): residues(p) builds a new
+    int64 array of its residues mod p, and bound is the largest absolute
+    value of an entry."""
+    exact = np.array(matrix, dtype=object)
+    return lambda p: (exact % p).astype(np.int64), max(map(abs, exact.flat))
 
 
 def _certify(matrix):
-    """(rank, certificate) of a small integer matrix."""
-    return _certified_rank(*_one_cell(matrix))
+    """(rank, certificate) of a small integer matrix, transposed when it has
+    more columns than rows, as a report orients a cell."""
+    exact = np.array(matrix, dtype=object)
+    return _certified_rank(*_one_cell(exact.T if exact.shape[1] > exact.shape[0] else exact))
 
 
 def test_certified_rank_reads_past_a_prime_that_understates():
@@ -478,14 +480,14 @@ def test_certified_rank_restarts_on_a_prime_with_lesser_pivots(monkeypatch):
     # prime's [0, 1], and then adding the primes that tie with it, can end
     # the loop, which is cut after ten primes rather than left to run
     matrix = [[1, 1, 0], [0, _PRIME, 1], [0, 0, 0]]
-    cell, table, bound = _one_cell(matrix)
-    pivots, echelon = _echelon_mod_prime(table(_PRIME)[cell], _PRIME)
+    residues, bound = _one_cell(matrix)
+    pivots, echelon = _echelon_mod_prime(residues(_PRIME), _PRIME)
     assert pivots == [0, 2]
     free, block = lefschetz.oracle._kernel_mod_prime(pivots, echelon, _PRIME)
     assert (free, block.tolist()) == ([1], [[_PRIME - 1], [0]])
-    assert not lefschetz.oracle._vanishes(cell, table, bound, np.array([[-1], [1], [0]], dtype=object))
+    assert not lefschetz.oracle._vanishes(residues, bound, np.array([[-1], [1], [0]], dtype=object))
     q = FIRST_PRIMES[1]
-    assert _echelon_mod_prime(table(q)[cell], q)[0] == [0, 1]
+    assert _echelon_mod_prime(residues(q), q)[0] == [0, 1]
     primes = []
     echelon_mod_prime = lefschetz.oracle._echelon_mod_prime
 
@@ -496,7 +498,7 @@ def test_certified_rank_restarts_on_a_prime_with_lesser_pivots(monkeypatch):
         return echelon_mod_prime(matrix, p)
 
     monkeypatch.setattr(lefschetz.oracle, "_echelon_mod_prime", cut)
-    assert _certified_rank(cell, table, bound) == (2, "kernel")
+    assert _certified_rank(residues, bound) == (2, "kernel")
 
 
 def test_integer_kernel_equals_the_per_entry_reference():
@@ -609,8 +611,8 @@ def test_echelon_mod_prime_reduces_before_int64_wraps(monkeypatch):
     rng = np.random.default_rng(20)
     for rows, cols in [(12, 12), (16, 9), (9, 16)]:
         matrix = rng.integers(0, p, (rows, cols))
-        pivots, echelon = _echelon_mod_prime(matrix, p)
         want_pivots, want_rows = echelon_mod_prime_by_ints(matrix.tolist(), p)
+        pivots, echelon = _echelon_mod_prime(matrix, p)
         assert pivots == want_pivots
         assert echelon.tolist() == want_rows
 
@@ -622,14 +624,15 @@ def test_echelon_mod_prime_equals_the_stepwise_reference(monkeypatch, reduce_eve
     monkeypatch.setattr(lefschetz.oracle, "_REDUCE_EVERY", reduce_every)
     kinds, exchanging = Counter(), Counter()
     for matrix in _echelon_cases():
-        given = matrix.copy()
-        pivots, echelon = _echelon_mod_prime(matrix, _PRIME)
-        assert np.array_equal(matrix, given)  # the argument is left unchanged
         want_pivots, want_echelon, exchanges = echelon_mod_prime_stepwise(matrix.copy(), _PRIME)
+        sparse = np.count_nonzero(matrix) <= 0.2 * matrix.size
+        pivots, echelon = _echelon_mod_prime(matrix, _PRIME)
+        # eliminated in place: the echelon rows are the argument's leading rows
+        assert np.array_equal(echelon, matrix[: len(pivots)])
+        assert np.shares_memory(echelon, matrix) or not pivots  # no rows share no memory
         assert pivots == want_pivots
         assert echelon.dtype == want_echelon.dtype
         assert np.array_equal(echelon, want_echelon)
-        sparse = np.count_nonzero(matrix) <= 0.2 * matrix.size
         rows, cols = matrix.shape
         kinds[sparse, rows > cols, len(pivots) < min(rows, cols)] += 1
         if exchanges:
@@ -704,6 +707,35 @@ def test_deficient_report_builds_no_exact_table(monkeypatch, fresh_components):
     report = lefschetz_report(MaciSpec((6, 6, 6, 6), (2, 2, 2, 2)).ideal())
     kernel = [rec for rec in report.maps if rec.certificate == "kernel"]
     assert len(kernel) > 1
+
+
+@pytest.mark.parametrize(
+    "a, m",
+    [((5, 6, 7, 8, 9), (1, 1, 1, 1, 1)), ((6, 6, 6, 6, 6), (2, 2, 2, 2, 2))],
+    ids=["mod_p 781x781", "kernel 745x730"],
+)
+def test_report_memory_is_bounded_by_its_largest_ranked_cell(monkeypatch, a, m):
+    # a ranked cell is held as one int64 residue array, eliminated in place,
+    # beside elimination's update buffer of the same size; an index array, a
+    # copy or a second prime's residues held beside them would pass 3 cells.
+    # The residue tables, one per prime read, are all held to the end
+    tables = []
+    multinomials = lefschetz.oracle._multinomials
+
+    def recorded(bounds, p=None):
+        tables.append(multinomials(bounds, p))
+        return tables[-1]
+
+    monkeypatch.setattr(lefschetz.oracle, "_multinomials", recorded)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    report = lefschetz_report(MaciSpec(a, m).ideal())
+    peak = tracemalloc.get_traced_memory()[1] - before
+    tracemalloc.stop()
+    cell = max(8 * r.dim_src * r.dim_tgt for r in report.maps if r.certificate in {"mod_p", "kernel"})
+    assert cell > 4_000_000
+    assert peak <= 3 * cell + sum(table.nbytes for table in tables), (peak, cell)
 
 
 def _vanishes(matrix, kernel):
